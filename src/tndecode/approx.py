@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import qr as _qr
 
 from .builders import simplify
-from .tensornet import ContractionValue, Tensor, TensorNetwork
+from .tensornet import ContractionValue, Tensor, TensorNetwork, pow2_normalize
 
 DEFAULT_CUTOFF = 1e-14
 
@@ -71,13 +71,6 @@ class MpsState:
     def bond_dims(self) -> list:
         return [s.shape[1] for s in self.sites[:-1]]
 
-    def _rescale(self, i: int) -> None:
-        m = np.max(np.abs(self.sites[i]))
-        if m > 0 and (m >= 2.0 or m < 1.0):
-            e = math.floor(math.log2(m))
-            self.sites[i] = self.sites[i] / 2.0 ** e
-            self.log_scale += e * math.log(2.0)
-
     def apply_mpo_zip(self, mpo: list, cutoff: float = DEFAULT_CUTOFF, rng=None) -> None:
         """Apply an MPO column (site legs (down, up, p_in, p_out)) with
         zip-up truncation, sweeping from site 0 upward."""
@@ -112,7 +105,8 @@ class MpsState:
                 carry = cm.reshape(keep, r, u)
         self.sites = new_sites
         for i in range(n):
-            self._rescale(i)
+            self.sites[i], log_factor = pow2_normalize(self.sites[i])
+            self.log_scale += log_factor
 
     def close(self) -> ContractionValue:
         """Contract a fully closed MPS (all physical dims 1) to a scalar."""
@@ -231,17 +225,6 @@ class GateSequence:
     residuals: dict
     gates: list
 
-    def replay(self) -> TensorNetwork:
-        """Reassemble the layer as a network (for exactness checks); the
-        vertical legs stay open as 'dn@pos' / 'up@pos'."""
-        net = TensorNetwork()
-        for pos, (arr, gkeys) in self.residuals.items():
-            legs = [f"dn@{pos}", f"up@{pos}"] + [f"g{k}@{pos}" for k in gkeys]
-            net.add(Tensor.dense(arr, legs))
-        for key, p1, p2, mat in self.gates:
-            net.add(Tensor.dense(mat, [f"g{key}@{p1}", f"g{key}@{p2}"]))
-        return net
-
 
 def _split_site(t: Tensor, down, up, inplane, chi_split, cutoff):
     """Residual array (down, up, g...) plus per-leg split factors.
@@ -275,15 +258,12 @@ def _build_gate(c1, e_mat, c2, bond_dim):
     return left if c2 is None else left @ c2
 
 
-def _plan_plane(net, tids, partners, a, chi_split, cutoff, reverse=False,
-                open_vertical=False, force=None):
+def _plan_plane(net, tids, partners, a, chi_split, cutoff, reverse=False):
     """Decompose one plane into a GateSequence.
 
     Vertical legs are bonds leaving the plane (the incoming sweep side is
-    'down'); with open_vertical, unbonded legs named 'dn*'/'up*' count as
-    vertical instead.  2-leg tensors sitting at the midpoint between two
-    in-plane partners become edge tensors folded into gates.  force picks
-    the splitting style for the public split_layer_* wrappers.
+    'down').  2-leg tensors sitting at the midpoint between two in-plane
+    partners become edge tensors folded into gates.
     """
     plane_set = set(tids)
     edge_tids = set()
@@ -307,20 +287,14 @@ def _plan_plane(net, tids, partners, a, chi_split, cutoff, reverse=False,
         for leg in t.legs:
             p = partners.get((tid, leg))
             if p is None:
-                if open_vertical and leg.startswith("dn"):
-                    down.append(leg)
-                elif open_vertical and leg.startswith("up"):
-                    up.append(leg)
-                else:
-                    raise ValueError(f"unexpected open leg {leg!r} in layer")
+                raise ValueError(f"unexpected open leg {leg!r} in layer")
+            pa = net.coords[p][0]
+            if pa == a:
+                inplane.append(leg)
+            elif (pa < a) != reverse:
+                down.append(leg)
             else:
-                pa = net.coords[p][0]
-                if pa == a:
-                    inplane.append(leg)
-                elif (pa < a) != reverse:
-                    down.append(leg)
-                else:
-                    up.append(leg)
+                up.append(leg)
         pos = tuple(net.coords[tid])[1:]
         if pos in site_of:
             raise ValueError(f"two site tensors at plane {a} position {pos}")
@@ -355,13 +329,8 @@ def _plan_plane(net, tids, partners, a, chi_split, cutoff, reverse=False,
     factors = {}
     for pos in sorted(site_of):
         tid = site_of[pos]
-        t = net.tensors[tid]
-        if force == "structured" and t.kind == "dense":
-            raise ValueError("structured splitting requires parity/equality sites")
-        if force == "svd" and t.kind != "dense":
-            t = Tensor.dense(t.densify(), list(t.legs))
         down, up, inplane = site_legs[tid]
-        arr, fac = _split_site(t, down, up, inplane, chi_split, cutoff)
+        arr, fac = _split_site(net.tensors[tid], down, up, inplane, chi_split, cutoff)
         gkeys = []
         for leg in inplane:
             for key, t1, l1, t2, l2, _e in raw_gates:
@@ -378,46 +347,22 @@ def _plan_plane(net, tids, partners, a, chi_split, cutoff, reverse=False,
     return GateSequence(residuals, gates)
 
 
-def _single_plane(net):
-    work = net.copy()
-    partners = _partners(work)
-    avals = {work.coords[tid][0] for tid in work.tensors}
-    if len(avals) != 1:
-        raise ValueError("layer must live in a single plane")
-    return work, partners, avals.pop()
+class LatticeState:
+    """Site arrays on an integer lattice joined by Vidal-gauge bonds.
 
-
-def split_layer_svd(net: TensorNetwork, chi_split: int,
-                    cutoff: float = DEFAULT_CUTOFF) -> GateSequence:
-    """SVD decomposition of a single-plane network into residuals and
-    two-site gates, each split bond capped at chi_split.  Open vertical
-    legs must be named 'dn*' / 'up*'."""
-    work, partners, a = _single_plane(net)
-    return _plan_plane(work, sorted(work.tensors), partners, a, chi_split,
-                       cutoff, open_vertical=True, force="svd")
-
-
-def split_layer_structured(net: TensorNetwork) -> GateSequence:
-    """Exact decomposition of a plane of parity/equality nodes: sites keep
-    their legs (identity splits) and edge tensors become gates."""
-    work, partners, a = _single_plane(net)
-    return _plan_plane(work, sorted(work.tensors), partners, a, 10 ** 9,
-                       DEFAULT_CUTOFF, open_vertical=True, force="structured")
-
-
-class SweepState:
-    """2D carrier state for the 3D layer sweep.
-
-    Site arrays have axes (left, right, down, up, vert); left/right step
-    the first grid coordinate, down/up the second.  lam maps a lattice
+    Axis AXIS[step] of the array at pos is the bond to pos + step; the
+    simple update consumes a gate leg at GATE_AXIS.  lam maps a lattice
     bond (ordered pair of positions) to a positive weight vector
-    normalized to unit max; absent entries mean a trivial bond.
+    normalized to unit max; absent entries mean a trivial bond.  The
+    network value is the contraction of the sites with diag(lam) on every
+    bond, times exp(log_scale).
     """
 
-    AXIS = {(-1, 0): 0, (1, 0): 1, (0, -1): 2, (0, 1): 3}
+    AXIS: dict  # lattice step -> bond axis, set by each subclass
+    GATE_AXIS: int
 
-    def __init__(self, positions):
-        self.sites = {pos: np.ones((1, 1, 1, 1, 1)) for pos in positions}
+    def __init__(self, sites: dict):
+        self.sites = sites
         self.lam = {}
         self.log_scale = 0.0
         self.truncation_cut = 0.0
@@ -430,101 +375,115 @@ class SweepState:
         return self.lam.get(self.bond(p1, p2), np.ones(1))
 
     def neighbors(self, pos):
-        i, j = pos
-        for (di, dj), ax in self.AXIS.items():
-            yield (i + di, j + dj), ax
+        for step, ax in self.AXIS.items():
+            yield tuple(c + d for c, d in zip(pos, step)), ax
 
-    def vert_dim(self, pos):
-        return self.sites[pos].shape[4]
+    def bond_axes(self, p1, p2):
+        """Axes of the (p1, p2) bond in the arrays at p1 and at p2."""
+        step = tuple(b - a for a, b in zip(p1, p2))
+        if step not in self.AXIS:
+            raise ValueError("gate endpoints are not adjacent grid positions")
+        return self.AXIS[step], self.AXIS[tuple(-d for d in step)]
 
     def rescale(self, pos):
-        m = np.max(np.abs(self.sites[pos]))
-        if m > 0 and (m >= 2.0 or m < 1.0):
-            e = math.floor(math.log2(m))
-            self.sites[pos] = self.sites[pos] / 2.0 ** e
-            self.log_scale += e * math.log(2.0)
+        self.sites[pos], log_factor = pow2_normalize(self.sites[pos])
+        self.log_scale += log_factor
 
-    def _absorb_outer(self, pos, skip_axis, invert=False):
+    def _absorb_outer(self, pos, skip_axis, cutoff, invert=False):
+        """Multiply (invert: divide) the site at pos by the weights of its
+        nontrivial bonds other than the one at skip_axis."""
         A = self.sites[pos]
         for npos, ax in self.neighbors(pos):
-            if ax == skip_axis or npos not in self.sites:
-                continue
             lv = self.get_lam(pos, npos)
-            if len(lv) == 1 and lv[0] == 1.0:
+            if ax == skip_axis or len(lv) == 1:
                 continue
-            w = 1.0 / lv if invert else lv
+            if invert:
+                if np.min(lv) < cutoff * np.max(lv):
+                    raise FloatingPointError("bond weights degenerate; chi too small")
+                lv = 1.0 / lv
             shape = [1] * A.ndim
             shape[ax] = len(lv)
-            A = A * w.reshape(shape)
+            A = A * lv.reshape(shape)
         self.sites[pos] = A
 
-    def apply_bond_gate(self, p1, p2, gate, chi, cutoff=DEFAULT_CUTOFF, fast=True):
+    def simple_update(self, p1, p2, gate, chi, cutoff=DEFAULT_CUTOFF):
+        """Contract gate[g1, g2] between the GATE_AXIS legs of two adjacent
+        sites into their shared bond, truncated to chi singular values
+        (Jiang, Weng, Xiang, arXiv:0806.3719): absorb the outer bond
+        weights, QR-reduce both sites, take a truncated SVD of the core,
+        then divide the outer weights back out."""
+        g = self.GATE_AXIS
+        ax1, ax2 = self.bond_axes(p1, p2)
+        reduced = []
+        for pos, ax in ((p1, ax1), (p2, ax2)):
+            self._absorb_outer(pos, ax, cutoff)
+            A = self.sites[pos]
+            rest = [i for i in range(A.ndim) if i not in (ax, g)]
+            M = np.transpose(A, rest + [ax, g]).reshape(-1, A.shape[ax] * A.shape[g])
+            Q, R = _qr(M, mode='economic', check_finite=False)
+            reduced.append((Q, R.reshape(-1, A.shape[ax], A.shape[g]),
+                            [A.shape[i] for i in rest]))
+        (Q1, R1, rest1), (Q2, R2, rest2) = reduced
+        core = np.einsum("abg,b,gh,cbh->ac", R1, self.get_lam(p1, p2), gate, R2,
+                         optimize=True)
+        u, s, vt = _svd_trunc(core, chi, cutoff)
+        if s[0] == 0.0:
+            raise FloatingPointError("bond collapsed to zero during update")
+        self.truncation_cut += max(
+            0.0, 1.0 - float((s ** 2).sum()) / float(np.linalg.norm(core)) ** 2)
+        f = float(s[0])
+        self.log_scale += math.log(f)
+        self.lam[self.bond(p1, p2)] = s / f
+        for pos, ax, N, rest in ((p1, ax1, Q1 @ u, rest1), (p2, ax2, Q2 @ vt.T, rest2)):
+            self.sites[pos] = np.moveaxis(N.reshape(rest + [len(s)]), -1, ax)
+            self._absorb_outer(pos, ax, cutoff, invert=True)
+            self.rescale(pos)
+
+
+class SweepState(LatticeState):
+    """2D carrier state for the 3D layer sweep.
+
+    Site arrays have axes (left, right, down, up, vert, g...); left/right
+    step the first grid coordinate, down/up the second, and pending gate
+    legs follow the vertical leg.
+    """
+
+    AXIS = {(-1, 0): 0, (1, 0): 1, (0, -1): 2, (0, 1): 3}
+    GATE_AXIS = 5
+
+    def __init__(self, positions):
+        super().__init__({pos: np.ones((1, 1, 1, 1, 1)) for pos in positions})
+
+    def apply_bond_gate(self, p1, p2, gate, chi, cutoff=DEFAULT_CUTOFF):
         """Contract a two-site gate whose legs sit at axis 5 of both site
         arrays, merging it into the shared lattice bond (capped at chi).
 
         When the merged bond still fits under chi, the gate is absorbed
         exactly through its own SVD with no lattice-bond refactorization;
-        otherwise a full simple-update step (outer-lambda absorption, QR
-        reduction, bond SVD, truncation) runs.
+        otherwise the full simple update runs.
         """
-        delta = (p2[0] - p1[0], p2[1] - p1[1])
-        if delta not in self.AXIS:
-            raise ValueError("gate endpoints are not adjacent grid positions")
-        ax1 = self.AXIS[delta]
-        ax2 = self.AXIS[(-delta[0], -delta[1])]
-        A1, A2 = self.sites[p1], self.sites[p2]
+        ax1, ax2 = self.bond_axes(p1, p2)
         lam_b = self.get_lam(p1, p2)
-        nb = len(lam_b)
         gu, gs, gvt = np.linalg.svd(gate, full_matrices=False)
         if gs[0] == 0.0:
             raise FloatingPointError("zero-valued gate collapses the network")
         gkeep = gs > cutoff * gs[0]
         gu, gs, gvt = gu[:, gkeep], gs[gkeep], gvt[gkeep]
-        if fast and nb * len(gs) <= chi:
-            B1 = np.tensordot(A1, gu, axes=([5], [0]))
-            B2 = np.tensordot(A2, gvt.T, axes=([5], [0]))
-            for pos, B, ax in ((p1, B1, ax1), (p2, B2, ax2)):
-                B = np.moveaxis(B, -1, ax + 1)
-                sh = list(B.shape)
-                sh[ax] *= sh[ax + 1]
-                del sh[ax + 1]
-                self.sites[pos] = B.reshape(sh)
-            new_lam = np.kron(lam_b, gs)
-            f = float(np.max(new_lam))
-            self.lam[self.bond(p1, p2)] = new_lam / f
-            self.log_scale += math.log(f)
-            self.rescale(p1)
-            self.rescale(p2)
+        if len(lam_b) * len(gs) > chi:
+            self.simple_update(p1, p2, gate, chi, cutoff)
             return
-        self._absorb_outer(p1, ax1)
-        self._absorb_outer(p2, ax2)
-        A1, A2 = self.sites[p1], self.sites[p2]
-        rest1 = [ax for ax in range(A1.ndim) if ax not in (ax1, 5)]
-        rest2 = [ax for ax in range(A2.ndim) if ax not in (ax2, 5)]
-        g1, g2 = A1.shape[5], A2.shape[5]
-        M1 = np.transpose(A1, rest1 + [ax1, 5]).reshape(-1, A1.shape[ax1] * g1)
-        M2 = np.transpose(A2, rest2 + [ax2, 5]).reshape(-1, A2.shape[ax2] * g2)
-        Q1, R1 = _qr(M1, mode='economic', check_finite=False)
-        Q2, R2 = _qr(M2, mode='economic', check_finite=False)
-        R1 = R1.reshape(-1, A1.shape[ax1], g1)
-        R2 = R2.reshape(-1, A2.shape[ax2], g2)
-        core = np.einsum("abg,b,gh,cbh->ac", R1, lam_b, gate, R2, optimize=True)
-        u, s, vt = _svd_trunc(core, chi, cutoff)
-        if s[0] == 0.0:
-            raise FloatingPointError("bond collapsed to zero during update")
-        self.truncation_cut += float(
-            1.0 - (s ** 2).sum() / max(np.linalg.norm(core) ** 2, 1e-300)
-        )
-        f = float(np.max(s))
+        B1 = np.tensordot(self.sites[p1], gu, axes=([5], [0]))
+        B2 = np.tensordot(self.sites[p2], gvt.T, axes=([5], [0]))
+        for pos, B, ax in ((p1, B1, ax1), (p2, B2, ax2)):
+            B = np.moveaxis(B, -1, ax + 1)
+            sh = list(B.shape)
+            sh[ax] *= sh[ax + 1]
+            del sh[ax + 1]
+            self.sites[pos] = B.reshape(sh)
+        new_lam = np.kron(lam_b, gs)
+        f = float(np.max(new_lam))
+        self.lam[self.bond(p1, p2)] = new_lam / f
         self.log_scale += math.log(f)
-        keep = len(s)
-        N1 = (Q1 @ u).reshape([A1.shape[ax] for ax in rest1] + [keep])
-        self.sites[p1] = np.moveaxis(N1, N1.ndim - 1, ax1)
-        N2 = (Q2 @ vt.T).reshape([A2.shape[ax] for ax in rest2] + [keep])
-        self.sites[p2] = np.moveaxis(N2, N2.ndim - 1, ax2)
-        self.lam[self.bond(p1, p2)] = s / f
-        self._absorb_outer(p1, ax1, invert=True)
-        self._absorb_outer(p2, ax2, invert=True)
         self.rescale(p1)
         self.rescale(p2)
 
@@ -555,30 +514,6 @@ class SweepState:
             A = A.reshape([A.shape[ax] for ax in keep_axes])
             net.add(Tensor.dense(A, legs), coord=pos)
         return net
-
-
-def simple_update_apply(state: SweepState, p1, p2, gate: np.ndarray, chi: int,
-                        cutoff: float = DEFAULT_CUTOFF) -> SweepState:
-    """Apply a two-site gate to the vertical legs of adjacent sites.
-
-    gate axes are (v1_in, v2_in, v1_out, v2_out); the state is updated in
-    place with the shared lattice bond truncated to chi.
-    """
-    v1, v2 = state.vert_dim(p1), state.vert_dim(p2)
-    if gate.shape[0] != v1 or gate.shape[1] != v2:
-        raise ValueError("gate does not match the vertical leg dimensions")
-    gmat = gate.transpose(0, 2, 1, 3).reshape(v1 * gate.shape[2],
-                                              v2 * gate.shape[3])
-    u, s, vt = _svd_trunc(gmat, min(gmat.shape), cutoff)
-    k = len(s)
-    G1 = (u * s).reshape(v1, gate.shape[2], k)
-    G2 = vt.T.reshape(v2, gate.shape[3], k)
-    state.sites[p1] = np.einsum("lrduv,vwg->lrduwg", state.sites[p1], G1,
-                                optimize=True)
-    state.sites[p2] = np.einsum("lrduv,vwg->lrduwg", state.sites[p2], G2,
-                                optimize=True)
-    state.apply_bond_gate(p1, p2, np.eye(k), chi, cutoff, fast=False)
-    return state
 
 
 def sweep_contract_3d(net: TensorNetwork, chi_peps: int, chi_split: int,

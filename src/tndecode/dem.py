@@ -237,19 +237,9 @@ def brute_force_class_probs(model: DetectorErrorModel, m) -> np.ndarray:
 # artifact answers every syndrome by fixing open detector legs.
 # ---------------------------------------------------------------------------
 
-from scipy.linalg import qr as _qr
-
-from .approx import DEFAULT_CUTOFF, _svd_trunc
+from .approx import DEFAULT_CUTOFF, LatticeState
 from .builders import DecodingNetwork
 from .tensornet import Tensor, TensorNetwork
-
-# bond axes of a site tensor: +x, -x, +y, -y, +z, -z; axis 6 is the open leg
-_AXIS6 = {
-    (1, 0, 0): 0, (-1, 0, 0): 1,
-    (0, 1, 0): 2, (0, -1, 0): 3,
-    (0, 0, 1): 4, (0, 0, -1): 5,
-}
-_STEP6 = {v: k for k, v in _AXIS6.items()}
 
 
 class CompressionError(RuntimeError):
@@ -318,7 +308,7 @@ def _manhattan_path(a, b):
     return out
 
 
-class CompressedCubicNetwork:
+class CompressedCubicNetwork(LatticeState):
     """W x H x D lattice of tensors, one open detector leg per site.
 
     Site tensors have six bond axes (+x,-x,+y,-y,+z,-z) and a trailing open
@@ -328,41 +318,27 @@ class CompressedCubicNetwork:
     the probability p_{m,L}.
     """
 
+    AXIS = {
+        (1, 0, 0): 0, (-1, 0, 0): 1,
+        (0, 1, 0): 2, (0, -1, 0): 3,
+        (0, 0, 1): 4, (0, 0, -1): 5,
+    }
+    # bond truncation runs the simple update with a 1x1 gate on a unit axis
+    # appended after the open leg
+    GATE_AXIS = 7
+
     def __init__(self, model: DetectorErrorModel, dims, site_of, chi, cutoff):
         self.model = model
         self.dims = tuple(dims)
         self.site_of = dict(site_of)  # detector/pseudo index -> site
         self.chi = chi
         self.cutoff = cutoff
-        self.log_scale = 0.0
-        self.truncation_cut = 0.0
         open_sites = set(site_of.values())
-        self.sites = {}
-        for pos in _box_sites(dims):
-            if pos in open_sites:
-                self.sites[pos] = np.array([1.0, 0.0]).reshape((1,) * 6 + (2,))
-            else:
-                self.sites[pos] = np.ones((1,) * 7)
-        self.lam = {}
-
-    # -- bond helpers ------------------------------------------------------
-    @staticmethod
-    def _bond(p, q):
-        return (p, q) if p < q else (q, p)
-
-    def get_lam(self, p, q):
-        b = self._bond(p, q)
-        if b not in self.lam:
-            self.lam[b] = np.ones(1)
-        return self.lam[b]
-
-    def _rescale(self, pos):
-        a = self.sites[pos]
-        n = float(np.max(np.abs(a)))
-        if n > 0 and (n > 2.0 or n < 0.5):
-            e = math.floor(math.log2(n))
-            self.sites[pos] = a / (2.0 ** e)
-            self.log_scale += e * math.log(2.0)
+        super().__init__({
+            pos: (np.array([1.0, 0.0]).reshape((1,) * 6 + (2,))
+                  if pos in open_sites else np.ones((1,) * 7))
+            for pos in _box_sites(dims)
+        })
 
     # -- snaking -----------------------------------------------------------
     def touched_sites(self, mech: Mechanism):
@@ -391,7 +367,7 @@ class CompressedCubicNetwork:
                 for din in range(dd):
                     m[din, din ^ b if dd == 2 else din] += w[b]
             self.sites[pos] = np.tensordot(site, m, axes=[[6], [0]])
-            self._rescale(pos)
+            self.rescale(pos)
             return
         for i, pos in enumerate(path):
             first, last = i == 0, i == len(path) - 1
@@ -412,18 +388,18 @@ class CompressedCubicNetwork:
             # axes after tensordot: bonds 0..5, open 6, wire-in 7, wire-out 8
             T = np.tensordot(site, m, axes=[[6], [0]])
             if not last:
-                ax = _AXIS6[tuple(np.subtract(path[i + 1], pos))]
+                ax = self.AXIS[tuple(np.subtract(path[i + 1], pos))]
                 T = np.moveaxis(T, 8, ax + 1)
                 sh = list(T.shape)
                 sh[ax] *= sh[ax + 1]
                 del sh[ax + 1]
                 T = T.reshape(sh)
-                b = self._bond(pos, path[i + 1])
+                b = self.bond(pos, path[i + 1])
                 self.lam[b] = np.kron(self.get_lam(pos, path[i + 1]), np.ones(wout))
             else:
                 T = T.reshape(T.shape[:-1])
             if not first:
-                ax = _AXIS6[tuple(np.subtract(path[i - 1], pos))]
+                ax = self.AXIS[tuple(np.subtract(path[i - 1], pos))]
                 T = np.moveaxis(T, 7, ax + 1)
                 sh = list(T.shape)
                 sh[ax] *= sh[ax + 1]
@@ -432,72 +408,23 @@ class CompressedCubicNetwork:
             else:
                 T = T.reshape(T.shape[:7])
             self.sites[pos] = T
-            self._rescale(pos)
+            self.rescale(pos)
         for i in range(len(path) - 1):
             self.truncate_bond(path[i], path[i + 1])
 
     # -- simple-update truncation -----------------------------------------
-    def _absorb_outer(self, pos, skip_axis, invert=False):
-        a = self.sites[pos]
-        for ax in range(6):
-            if ax == skip_axis or a.shape[ax] == 1:
-                continue
-            npos = tuple(int(v) for v in np.add(pos, _STEP6[ax]))
-            lam = self.get_lam(pos, npos)
-            if invert:
-                if np.min(lam) < self.cutoff * np.max(lam):
-                    raise CompressionError("bond weights degenerate; chi too small")
-                lam = 1.0 / lam
-            a = a * lam.reshape((-1,) + (1,) * (a.ndim - 1 - ax))
-        return a
-
     def truncate_bond(self, p1, p2, chi=None) -> None:
         """Truncate the (p1, p2) bond to chi singular values in the locally
-        optimal (simple update) gauge."""
+        optimal (simple update) gauge.  chi defaults to the compression
+        cap; a cap of None or 0 keeps every singular value above the
+        cutoff."""
         chi = self.chi if chi is None else chi
-        ax1 = _AXIS6[tuple(np.subtract(p2, p1))]
-        ax2 = _AXIS6[tuple(np.subtract(p1, p2))]
-        lam12 = self.get_lam(p1, p2)
-        n = len(lam12)
+        n = len(self.get_lam(p1, p2))
         if n == 1:
             return
-        A = self._absorb_outer(p1, ax1)
-        B = self._absorb_outer(p2, ax2)
-        ra = [i for i in range(A.ndim) if i != ax1]
-        rb = [i for i in range(B.ndim) if i != ax2]
-        MA = A.transpose(ra + [ax1]).reshape(-1, n)
-        MB = B.transpose(rb + [ax2]).reshape(-1, n)
-        Q1, R1 = _qr(MA, mode="economic", check_finite=False)
-        Q2, R2 = _qr(MB, mode="economic", check_finite=False)
-        core = (R1 * lam12) @ R2.T
-        nrm = float(np.linalg.norm(core))
-        if nrm == 0.0:
-            keep = 1
-            lam_new = np.ones(1)
-            N1 = np.zeros((MA.shape[0], 1))
-            N2 = np.zeros((MB.shape[0], 1))
-            self.log_scale += 0.0
-        else:
-            u, s, vt = _svd_trunc(core, chi if chi else max(core.shape), self.cutoff)
-            keep = len(s)
-            self.truncation_cut += max(0.0, 1.0 - float(np.sum(s ** 2)) / nrm ** 2)
-            sn = float(np.linalg.norm(s))
-            lam_new = s / sn
-            self.log_scale += math.log(sn)
-            N1 = Q1 @ u
-            N2 = Q2 @ vt.T
-        sa = [A.shape[i] for i in ra]
-        sb = [B.shape[i] for i in rb]
-        A2 = np.moveaxis(N1.reshape(sa + [keep]), -1, ax1)
-        B2 = np.moveaxis(N2.reshape(sb + [keep]), -1, ax2)
-        self.sites[p1] = A2
-        self.sites[p2] = B2
-        # restore the gauge: divide the outer bond weights back out
-        self.sites[p1] = self._absorb_outer(p1, ax1, invert=True)
-        self.sites[p2] = self._absorb_outer(p2, ax2, invert=True)
-        self.lam[self._bond(p1, p2)] = lam_new
-        self._rescale(p1)
-        self._rescale(p2)
+        for pos in (p1, p2):
+            self.sites[pos] = self.sites[pos][..., None]
+        self.simple_update(p1, p2, np.eye(1), chi or n, self.cutoff)
 
     def truncate_all(self, chi) -> None:
         """Global truncation pass bringing every bond dimension down to chi."""
@@ -534,13 +461,12 @@ class CompressedCubicNetwork:
                 a = np.tensordot(a, np.array([1.0, sign]), axes=[[6], [0]])
             legs = []
             keep_axes = []
-            for ax in range(6):
+            for npos, ax in self.neighbors(pos):
                 if a.shape[ax] == 1:
                     continue
-                npos = tuple(int(v) for v in np.add(pos, _STEP6[ax]))
                 lam = self.get_lam(pos, npos)
                 a = a * np.sqrt(lam).reshape((-1,) + (1,) * (a.ndim - 1 - ax))
-                bond = self._bond(pos, npos)
+                bond = self.bond(pos, npos)
                 legs.append(f"b{bond[0]}|{bond[1]}")
                 keep_axes.append(ax)
             a = a.reshape([a.shape[ax] for ax in keep_axes]) if keep_axes else a.reshape(())

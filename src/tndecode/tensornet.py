@@ -23,6 +23,19 @@ class ContractionCapError(RuntimeError):
     """An intermediate tensor would exceed the densification cap."""
 
 
+def pow2_normalize(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """Scale a by a power of two so that max |a| lies in [1, 2).
+
+    Returns the scaled array and the log of the factor taken out.  The
+    scaling is exact, so only the bookkeeping in log space can round.
+    """
+    m = float(np.max(np.abs(a))) if a.size else 0.0
+    if m == 0.0 or 1.0 <= m < 2.0:
+        return a, 0.0
+    e = math.floor(math.log2(m))
+    return a / 2.0 ** e, e * math.log(2.0)
+
+
 @dataclass(frozen=True)
 class ContractionValue:
     """A real number stored as mantissa * exp(log_scale).
@@ -36,6 +49,8 @@ class ContractionValue:
 
     @classmethod
     def from_float(cls, x: float, log_scale: float = 0.0) -> "ContractionValue":
+        if not math.isfinite(x):
+            raise FloatingPointError(f"non-finite contraction value {x}")
         if x == 0.0:
             return cls(0.0, 0.0)
         e = math.floor(math.log2(abs(x)))
@@ -292,11 +307,8 @@ class TensorNetwork:
         self.coords.pop(a, None)
         self.coords.pop(b, None)
         # renormalize into log_scale to keep magnitudes bounded
-        m = np.max(np.abs(vals)) if vals.size else 0.0
-        if m > 0 and (m > 2.0 or m < 1.0):
-            e = math.floor(math.log2(m))
-            vals = vals / 2.0 ** e
-            self.log_scale += e * math.log(2.0)
+        vals, log_factor = pow2_normalize(vals)
+        self.log_scale += log_factor
         return self.add(Tensor.dense(vals, out_legs))
 
     def contract_exact(self, cap: int = DENSIFY_CAP) -> ContractionValue:

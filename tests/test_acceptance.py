@@ -14,6 +14,8 @@ import csv
 import itertools
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -314,17 +316,28 @@ def test_acceptance_11_invariant_suites_present():
         assert os.path.exists(os.path.join(here, name + ".py")), name
 
 
+_DECIDE_TEN_SHOTS = """
+import json
+from tndecode.codes import surface_code_3d
+from tndecode.harness import (ContractionConfig, CssSectorProblem, _decide,
+                              sample_errors)
+prob = CssSectorProblem(surface_code_3d(2), "z", 0.04, "detector")
+cfg = ContractionConfig(engine="sweep", chi_peps=12, chi_split=6, chi_mps=24)
+print(json.dumps([_decide(prob, m, cfg) for _, m in sample_errors(prob, 10, 1111)]))
+"""
+
+
 def test_acceptance_11_determinism_across_thread_counts():
-    threadpoolctl = pytest.importorskip("threadpoolctl")
-    code = surface_code_3d(2)
-    prob = CssSectorProblem(code, "z", 0.04, "detector")
-    cfg = ContractionConfig(engine="sweep", chi_peps=12, chi_split=6,
-                            chi_mps=24)
-    shots = list(sample_errors(prob, 10, 1111))
+    # BLAS reads its thread count at start-up, so each count gets a fresh
+    # interpreter
     outcomes = []
-    for limit in (1, 2):
-        with threadpoolctl.threadpool_limits(limits=limit):
-            outcomes.append([_decide(prob, m, cfg) for _, m in shots])
+    for limit in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=limit, OMP_NUM_THREADS=limit,
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _DECIDE_TEN_SHOTS], env=env,
+                             capture_output=True, text=True, check=True, timeout=600)
+        outcomes.append(json.loads(run.stdout))
     assert outcomes[0] == outcomes[1]
 
 

@@ -2,14 +2,7 @@
 import numpy as np
 import pytest
 
-from tndecode.approx import (
-    SweepState,
-    mps_contract_2d,
-    simple_update_apply,
-    split_layer_structured,
-    split_layer_svd,
-    sweep_contract_3d,
-)
+from tndecode.approx import SweepState, mps_contract_2d, sweep_contract_3d
 from tndecode.builders import build_css_sector_network, build_detector_cubic_network
 from tndecode.codes import surface_code_2d, surface_code_3d
 from tndecode.noise import depolarizing
@@ -204,61 +197,35 @@ def test_sweep_3d_determinism_and_reverse():
     assert abs(rev.ratio_to(fwd) - 1) < 1e-9
 
 
-def _plane_with_edge(structured):
-    """Single plane: two sites joined through a 2-leg edge tensor."""
-    rng = np.random.default_rng(17)
-    net = TensorNetwork()
-    if structured:
-        net.add(Tensor.parity(["dnA", "upA", "cl"], 0.8, 0.2), coord=(0, 0, 0))
-        net.add(Tensor.equality(["dnB", "upB", "cr"], 0.6, 0.4), coord=(0, 0, 2))
-    else:
-        net.add(Tensor.dense(rng.standard_normal((2, 2, 2)),
-                             ["dnA", "upA", "cl"]), coord=(0, 0, 0))
-        net.add(Tensor.dense(rng.standard_normal((2, 2, 2)),
-                             ["dnB", "upB", "cr"]), coord=(0, 0, 2))
-    net.add(Tensor.dense(rng.standard_normal((2, 2)), ["cl", "cr"]),
-            coord=(0, 0, 1))
-    legmap = {"dnA": "dn@(0, 0)", "upA": "up@(0, 0)",
-              "dnB": "dn@(0, 2)", "upB": "up@(0, 2)"}
-    return net, legmap
+def test_apply_bond_gate_full_update_exact_at_bond_rank():
+    # A 2x2 loop of sites: a first ring of gates (fast path at chi 2) gives
+    # every bond a rank-2 weight vector, then a second gate on bond a-b
+    # merges to len(lam) * rank(gate) = 4 > chi = 2 and takes the full
+    # simple update.  Site a's other legs have dimension 2, so chi = 2
+    # still covers the exact rank of the core and nothing is cut.
+    rng = np.random.default_rng(31)
+    a, b, c, d = (0, 0), (0, 1), (1, 1), (1, 0)
+    state = SweepState([a, b, c, d])
 
+    def attach(pos, *gdims):
+        # residual (down=1, up=1, g...) contracted into the vertical leg
+        res = rng.standard_normal((1, 1) + gdims)
+        state.sites[pos] = np.tensordot(state.sites[pos], res, axes=([4], [0]))
+        return res[0, 0]
 
-@pytest.mark.parametrize("structured", [False, True])
-def test_split_layer_replay_matches_original(structured):
-    net, legmap = _plane_with_edge(structured)
-    if structured:
-        gs = split_layer_structured(net)
-    else:
-        gs = split_layer_svd(net, chi_split=16)  # above any exact rank
-    replay = gs.replay()
-    rng = np.random.default_rng(23)
-    closers = {leg: rng.standard_normal(2) for leg in legmap}
-    orig = net.copy()
-    rep = replay.copy()
-    for leg, vec in closers.items():
-        orig.fix_open_leg(leg, vec)
-        rep.fix_open_leg(legmap[leg], vec)
-    a, b = orig.contract_exact(), rep.contract_exact()
-    assert abs(b.ratio_to(a) - 1) < 1e-12
-
-
-def test_split_layer_structured_rejects_dense_sites():
-    net, _ = _plane_with_edge(structured=False)
-    with pytest.raises(ValueError):
-        split_layer_structured(net)
-
-
-def test_simple_update_apply_two_site_gates():
-    state = SweepState([(0, 0), (0, 1)])
-    g1 = np.random.default_rng(31).standard_normal((1, 1, 2, 2))
-    simple_update_apply(state, (0, 0), (0, 1), g1, chi=8)
-    assert state.vert_dim((0, 0)) == 2 and state.vert_dim((0, 1)) == 2
-    g2 = np.random.default_rng(32).standard_normal((2, 2, 1, 1))
-    simple_update_apply(state, (0, 0), (0, 1), g2, chi=8)
+    ra, rb, rc, rd = (attach(p, 2, 2) for p in (a, b, c, d))
+    ring = [(a, b), (b, c), (c, d), (d, a)]
+    gates = [rng.standard_normal((2, 2)) for _ in ring]
+    for (p1, p2), g in zip(ring, gates):
+        state.apply_bond_gate(p1, p2, g, chi=2)
+    va, vb = attach(a, 2), attach(b, 2)
+    g2 = rng.standard_normal((2, 2))
+    assert len(state.get_lam(a, b)) * np.linalg.matrix_rank(g2) > 2
+    state.apply_bond_gate(a, b, g2, chi=2)
+    assert len(state.get_lam(a, b)) == 2
+    assert state.truncation_cut < 1e-12
+    # ra[ab, da], rb[ab, bc], rc[bc, cd], rd[cd, da]
+    want = np.einsum("ij,kl,mn,op,ik,lm,no,pj->", ra, rb, rc, rd, *gates)
+    want *= va @ g2 @ vb
     got = state.to_network().contract_exact()
-    want = float(np.einsum("ab,ab->", g1[0, 0], g2[..., 0, 0]))
     assert got.value == pytest.approx(want, rel=1e-12)
-    # mismatched vertical dimensions are rejected
-    with pytest.raises(ValueError):
-        simple_update_apply(state, (0, 0), (0, 1),
-                            np.ones((3, 1, 1, 1)), chi=8)

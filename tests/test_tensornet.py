@@ -12,6 +12,7 @@ from tndecode.tensornet import (
     ContractionValue,
     Tensor,
     TensorNetwork,
+    pow2_normalize,
     walsh_hadamard_transform,
 )
 
@@ -28,6 +29,25 @@ def test_contraction_value_normalization():
     assert prod.value == pytest.approx(v.value * neg.value, rel=1e-14)
     assert neg.ratio_to(v) == pytest.approx(neg.value / v.value, rel=1e-14)
     assert v.scaled(math.log(2.0)).value == pytest.approx(0.75, rel=1e-14)
+
+
+def test_from_float_rejects_non_finite():
+    # a numerical failure, which the CLI reports as exit 3, not as bad input
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(FloatingPointError):
+            ContractionValue.from_float(x)
+
+
+def test_pow2_normalize_window_and_exactness():
+    rng = np.random.default_rng(3)
+    for scale in (1e-300, 0.3, 1.0, 2.0, 7.5, 1e300):
+        a = rng.standard_normal((3, 4)) * scale
+        b, log_factor = pow2_normalize(a)
+        assert 1.0 <= np.max(np.abs(b)) < 2.0
+        factor = 2.0 ** round(log_factor / math.log(2.0))
+        assert np.array_equal(b * factor, a)  # a power of two: no rounding
+    z = np.zeros((2, 2))
+    assert pow2_normalize(z)[1] == 0.0 and pow2_normalize(np.zeros(0))[1] == 0.0
 
 
 def test_densify_structured_exhaustive():
