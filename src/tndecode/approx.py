@@ -25,31 +25,59 @@ from .builders import simplify
 from .tensornet import ContractionValue, Tensor, TensorNetwork, pow2_normalize
 
 DEFAULT_CUTOFF = 1e-14
+# randomized range finder of _range_svd
+OVERSAMPLE = 16  # sketch columns beyond the kept rank
+POWER_STEPS = 4  # power steps before giving up on the sketch
+POWER_TOL = 1e-2  # relative change of the discarded weight that counts as settled
+
+
+def _range_svd(M: np.ndarray, k: int, rng):
+    """SVD of M projected on a randomized range basis Q of k + OVERSAMPLE
+    columns (Halko, Martinsson, Tropp, arXiv:0909.4061).
+
+    Each power step re-orthonormalizes (QR of M^T Q, then QR of M Z) and
+    reads the singular values of the projection Q^T M, whose discarded
+    weight beyond k, ||M||_F^2 - sum_{i<k} s_i^2, is exact for it.  The
+    steps stop once that weight changes by at most POWER_TOL of itself,
+    or falls below 1e-12 ||M||_F^2 (exact rank); None means it has not
+    settled after POWER_STEPS steps.
+    """
+    A = M if M.shape[0] <= M.shape[1] else M.T  # Q spans the smaller side
+    total = float(np.vdot(A, A))
+    Q, _ = _qr(A @ rng.standard_normal((A.shape[1], k + OVERSAMPLE)),
+               mode='economic', check_finite=False)
+    cut = None
+    for step in range(POWER_STEPS + 1):
+        if step:
+            Q, _ = _qr(A @ Z, mode='economic', check_finite=False)
+        # the QR of (Q^T A)^T = A^T Q serves both the next power step and
+        # the SVD of the projection, Q^T A = R^T Z^T
+        Z, R = _qr((Q.T @ A).T, mode='economic', check_finite=False)
+        w, s, ut = np.linalg.svd(R)
+        prev, cut = cut, total - float(s[:k] @ s[:k])
+        if cut <= 1e-12 * total or (prev is not None and abs(cut - prev) <= POWER_TOL * cut):
+            u, vt = Q @ ut.T, (Z @ w).T
+            return (u, s, vt) if A is M else (vt.T, s, u.T)
+    return None
 
 
 def _svd_trunc(M: np.ndarray, chi: int, cutoff: float = DEFAULT_CUTOFF, rng=None):
     """Truncated SVD: keep at most chi singular values above the relative
-    cutoff.  Falls back to a randomized range finder for very lopsided
-    matrices where a full decomposition would dominate the runtime; with
-    one power iteration the sketch is exact (to roundoff) whenever the true
-    numerical rank fits inside it."""
+    cutoff.
+
+    Given an rng, a matrix whose smaller side holds at least four sketch
+    widths (k + OVERSAMPLE, k = min(chi, m, n)) goes through the randomized
+    range finder _range_svd, which chooses its own number of power steps
+    from the discarded weight.  At that size even POWER_STEPS steps cost
+    fewer flops than the thin SVD, unless the matrix is some 75 times
+    wider than tall.  A sketch that has not settled, and every other
+    matrix, gets the full SVD."""
     m, n = M.shape
     k = min(chi, m, n)
-    use_randomized = rng is not None and min(m, n) > 2 * (k + 16) and M.size > 1 << 18
-    if use_randomized:
-        s_dim = k + 16
-        if m <= n:
-            Y = M @ (M.T @ (M @ rng.standard_normal((n, s_dim))))
-            Q, _ = _qr(Y, mode='economic', check_finite=False)
-            u, s, vt = np.linalg.svd(Q.T @ M, full_matrices=False)
-            u = Q @ u
-        else:
-            Y = M.T @ (M @ (M.T @ rng.standard_normal((m, s_dim))))
-            Q, _ = _qr(Y, mode='economic', check_finite=False)
-            u, s, vt = np.linalg.svd(M @ Q, full_matrices=False)
-            vt = vt @ Q.T
-    else:
-        u, s, vt = np.linalg.svd(M, full_matrices=False)
+    usv = None
+    if rng is not None and min(m, n) >= 4 * (k + OVERSAMPLE):
+        usv = _range_svd(M, k, rng)
+    u, s, vt = usv if usv is not None else np.linalg.svd(M, full_matrices=False)
     if s[0] == 0.0:
         return u[:, :1] * 0.0, s[:1], vt[:1] * 0.0
     keep = max(1, min(k, int(np.count_nonzero(s > cutoff * s[0]))))
@@ -97,11 +125,8 @@ class MpsState:
                 uu, ss, vvt = _svd_trunc(mat, self.max_chi, cutoff, rng)
                 keep = len(ss)
                 new_sites.append(uu.reshape(K, q, keep).transpose(0, 2, 1))
-                cm = ss[:, None] * vvt
-                f = np.max(np.abs(cm))
-                if f > 0:
-                    cm = cm / f
-                    self.log_scale += math.log(f)
+                cm, log_factor = pow2_normalize(ss[:, None] * vvt)
+                self.log_scale += log_factor
                 carry = cm.reshape(keep, r, u)
         self.sites = new_sites
         for i in range(n):
@@ -115,12 +140,10 @@ class MpsState:
         for A in self.sites:
             if A.shape[2] != 1:
                 raise ValueError("MPS still has open physical legs")
-            mat = mat @ A[:, :, 0]
-            f = np.max(np.abs(mat))
-            if f == 0.0:
+            mat, log_factor = pow2_normalize(mat @ A[:, :, 0])
+            if not mat.any():
                 return ContractionValue(0.0)
-            mat = mat / f
-            log += math.log(f)
+            log += log_factor
         return ContractionValue.from_float(float(mat[0, 0]), log)
 
 

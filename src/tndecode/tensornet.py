@@ -28,8 +28,11 @@ def pow2_normalize(a: np.ndarray) -> tuple[np.ndarray, float]:
 
     Returns the scaled array and the log of the factor taken out.  The
     scaling is exact, so only the bookkeeping in log space can round.
+    Raises FloatingPointError when a holds NaN or infinity.
     """
     m = float(np.max(np.abs(a))) if a.size else 0.0
+    if not math.isfinite(m):
+        raise FloatingPointError(f"non-finite entry {m} in rescaled array")
     if m == 0.0 or 1.0 <= m < 2.0:
         return a, 0.0
     e = math.floor(math.log2(m))

@@ -1,8 +1,11 @@
 """Approximate contraction engines: exactness, gauge freedom, truncation."""
+import math
+
 import numpy as np
 import pytest
 
-from tndecode.approx import SweepState, mps_contract_2d, sweep_contract_3d
+from tndecode import approx
+from tndecode.approx import MpsState, SweepState, mps_contract_2d, sweep_contract_3d
 from tndecode.builders import build_css_sector_network, build_detector_cubic_network
 from tndecode.codes import surface_code_2d, surface_code_3d
 from tndecode.noise import depolarizing
@@ -87,6 +90,13 @@ def test_boundary_mps_rejects_bad_networks():
     net2.add(Tensor.dense(np.ones((2, 2, 2)), ["a", "b", "c"]))
     with pytest.raises(ValueError):
         mps_contract_2d(net2, chi=8)  # no coordinates
+
+
+def test_mps_close_zero_and_large_products():
+    row = np.ones((1, 2, 1))
+    assert MpsState([row, np.array([1.0, -1.0]).reshape(2, 1, 1)], 4).close().mantissa == 0.0
+    big = MpsState([row * 3e200, np.full((2, 1, 1), 5e200)], 4).close()
+    assert big.log_abs == pytest.approx(math.log(2) + math.log(3e200) + math.log(5e200), rel=1e-14)
 
 
 def test_css_2d_class_values_via_mps_match_exact():
@@ -229,3 +239,90 @@ def test_apply_bond_gate_full_update_exact_at_bond_rank():
     want *= va @ g2 @ vb
     got = state.to_network().contract_exact()
     assert got.value == pytest.approx(want, rel=1e-12)
+
+
+def _truncated_full_svd(M, chi, cutoff=approx.DEFAULT_CUTOFF):
+    u, s, vt = np.linalg.svd(M, full_matrices=False)
+    keep = max(1, min(chi, int(np.count_nonzero(s > cutoff * s[0]))))
+    return u[:, :keep], s[:keep], vt[:keep]
+
+
+def _spectrum_matrix(seed, sigma):
+    rng = np.random.default_rng(seed)
+    n = len(sigma)
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return (u * sigma) @ v.T
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Record the shapes _svd_trunc hands to np.linalg.svd and the number of
+    QR factorizations it makes (the randomized range finder's)."""
+    calls = {"svd": [], "qr": 0}
+    svd, qr = np.linalg.svd, approx._qr
+
+    def count_svd(a, *args, **kwargs):
+        calls["svd"].append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    def count_qr(*args, **kwargs):
+        calls["qr"] += 1
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", count_svd)
+    monkeypatch.setattr(approx, "_qr", count_qr)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(512, 512), (600, 256), (256, 600)])
+def test_svd_trunc_sketch_exact_on_low_rank(svd_calls, shape):
+    rng = np.random.default_rng(41)
+    left = rng.standard_normal((shape[0], 20)) * np.logspace(0, -3, 20)
+    M = left @ rng.standard_normal((20, shape[1]))
+    u, s, vt = approx._svd_trunc(M, 32, rng=np.random.default_rng(1))
+    assert svd_calls["qr"] > 0 and shape not in svd_calls["svd"]
+    full = np.linalg.svd(M, compute_uv=False)
+    np.testing.assert_allclose(s[:20], full[:20], rtol=1e-10)
+    assert np.all(s[20:] < 1e-10 * s[0])
+    assert np.linalg.norm((u * s) @ vt - M) < 1e-10 * np.linalg.norm(M)
+
+
+def test_svd_trunc_sketch_discarded_weight_on_decaying_spectrum(svd_calls):
+    sigma = 0.95 ** np.arange(512)
+    M = _spectrum_matrix(42, sigma)
+    _u, s, _vt = approx._svd_trunc(M, 32, rng=np.random.default_rng(2))
+    assert svd_calls["qr"] > 0 and (512, 512) not in svd_calls["svd"]
+    total = float(sigma @ sigma)
+    want = total - float(sigma[:32] @ sigma[:32])
+    assert len(s) == 32
+    assert abs((total - float(s @ s)) / want - 1) < 0.02
+
+
+def test_svd_trunc_falls_back_when_unsettled(svd_calls, monkeypatch):
+    # at 0.9 decay the discarded weight still moves after one power step,
+    # so with a single step allowed the full SVD must take over; with the
+    # default number of steps the sketch settles and differs from it
+    M = _spectrum_matrix(43, 0.9 ** np.arange(512))
+    want = _truncated_full_svd(M, 32)
+    sketched = approx._svd_trunc(M, 32, rng=np.random.default_rng(3))
+    assert not np.allclose(sketched[1], want[1], rtol=0, atol=1e-12)
+    monkeypatch.setattr(approx, "POWER_STEPS", 1)
+    svd_calls["qr"] = 0
+    got = approx._svd_trunc(M, 32, rng=np.random.default_rng(3))
+    assert svd_calls["qr"] > 0
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape, rng", [
+    ((512, 512), None),  # no rng: never sketched
+    ((191, 400), np.random.default_rng(4)),  # smaller side below 4 * (32 + 16)
+    ((400, 191), np.random.default_rng(4)),
+])
+def test_svd_trunc_full_path_unchanged(svd_calls, shape, rng):
+    M = np.random.default_rng(44).standard_normal(shape)
+    got = approx._svd_trunc(M, 32, rng=rng)
+    assert svd_calls["qr"] == 0
+    for g, w in zip(got, _truncated_full_svd(M, 32)):
+        assert np.array_equal(g, w)

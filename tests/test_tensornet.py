@@ -48,6 +48,9 @@ def test_pow2_normalize_window_and_exactness():
         assert np.array_equal(b * factor, a)  # a power of two: no rounding
     z = np.zeros((2, 2))
     assert pow2_normalize(z)[1] == 0.0 and pow2_normalize(np.zeros(0))[1] == 0.0
+    for x in (math.nan, math.inf):
+        with pytest.raises(FloatingPointError):
+            pow2_normalize(np.array([1.0, x]))
 
 
 def test_densify_structured_exhaustive():

@@ -1,5 +1,7 @@
-"""Campaign tools under tools/: the exact-ML table behind the smoke check."""
+"""Campaign tools under tools/: the exact-ML table behind the smoke check,
+and the resume check of the threshold campaigns."""
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -7,7 +9,8 @@ import numpy as np
 from tests._oracles import dem_all_class_probs
 from tndecode.dem import DetectorErrorModel, Mechanism
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
+TOOLS = os.path.join(os.path.dirname(__file__), "..", "tools")
+sys.path.insert(0, TOOLS)
 
 from check_smoke_ml import class_prob_table  # noqa: E402
 
@@ -28,3 +31,33 @@ def test_class_prob_table_matches_subset_enumeration():
         )
         np.testing.assert_allclose(class_prob_table(model),
                                    dem_all_class_probs(model), atol=1e-14)
+
+
+def test_run_thresholds_refuses_resume_when_first_row_does_not_reproduce(tmp_path):
+    out = tmp_path / "point_d3.csv"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+
+    def run():
+        return subprocess.run(
+            [sys.executable, os.path.join(TOOLS, "run_thresholds.py"), "point", "3",
+             "--shots", "4", "--chunk", "2", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+
+    first = run()
+    assert first.returncode == 0, first.stderr
+    written = out.read_bytes()
+    lines = written.decode().splitlines()
+    assert len(lines) == 1 + 5 * 2  # header, 5 values of p x 2 chunks
+    resumed = run()
+    assert resumed.returncode == 0, resumed.stderr
+    assert "first row reproduced" in resumed.stdout
+    assert out.read_bytes() == written
+    row = lines[1].split(",")
+    row[5] = str(int(row[5]) + 1)
+    tampered = written.replace(lines[1].encode(), ",".join(row).encode(), 1)
+    out.write_bytes(tampered)
+    refused = run()
+    assert refused.returncode != 0
+    assert ",".join(row) in refused.stderr
+    assert out.read_bytes() == tampered

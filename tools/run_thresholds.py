@@ -8,7 +8,10 @@ appends results in chunks so interrupted runs resume where they stopped.
 
 CSV rows: family,d,p,start,shots,failures,seconds.  The per-shot RNG
 streams are derived from (seed, shot index), so resumed runs produce the
-same data as uninterrupted ones.
+same data as uninterrupted ones.  Before resuming a file that already has
+rows, the span of its first row is decoded again; if the failure count
+differs, the code or settings no longer match the file, and the tool exits
+with status 1 without appending.
 
 --workers N decodes chunks on N forked processes and still appends the
 rows in shot order, so the CSV matches a serial run's except for the
@@ -91,6 +94,28 @@ def chunk_results(job, spans, workers):
         _JOB = None
 
 
+def first_row(path):
+    """The first data row of a campaign CSV, or None if it has none."""
+    with open(path) as f:
+        for row in csv.reader(f):
+            if row and row[0] != "family":
+                return row
+    return None
+
+
+def first_row_fails(row, family, d, ps, job):
+    """Failures of the span of a campaign row decoded again, or None when
+    the row is not from this family, distance and p grid.  job(idx) is the
+    (problem, config, seed) job at ps[idx]."""
+    grid = [round(p, 6) for p in ps]
+    p = round(float(row[2]), 6)
+    if row[:2] != [family, str(d)] or p not in grid:
+        return None
+    span = (int(row[3]), int(row[4]))
+    with chunk_results(job(grid.index(p)), [span], 1) as results:
+        return next(results)[0]
+
+
 def done_shots(path):
     done = {}
     if os.path.exists(path):
@@ -125,16 +150,29 @@ def main():
             csv.writer(f).writerow(
                 ["family", "d", "p", "start", "shots", "failures", "seconds"]
             )
+
+    def job(idx):
+        return (make_problem(args.family, code, ps[idx]), config,
+                args.seed_base + 100 * args.d + idx)
+
+    row = first_row(args.out)
+    if row is not None:
+        fails = first_row_fails(row, args.family, args.d, ps, job)
+        if fails != int(row[5]):
+            why = ("is not from this family, distance and p grid" if fails is None
+                   else f"gave {fails} failures when decoded again, not {row[5]}")
+            print(f"refusing to resume {args.out}: first row {','.join(row)} {why}; "
+                  "nothing appended", file=sys.stderr)
+            sys.exit(1)
+        print(f"first row reproduced: {fails} failures", flush=True)
     done = done_shots(args.out)
     for idx, p in enumerate(ps):
-        seed = args.seed_base + 100 * args.d + idx
-        job = (make_problem(args.family, code, p), config, seed)
         first = done.get(round(p, 6), 0)
         spans = [(start, min(args.chunk, args.shots - start))
                  for start in range(first, args.shots, args.chunk)]
         if not spans:
             continue
-        with chunk_results(job, spans, args.workers) as results:
+        with chunk_results(job(idx), spans, args.workers) as results:
             for (start, n), (fails, dt) in zip(spans, results):
                 with open(args.out, "a", newline="") as f:
                     csv.writer(f).writerow(
