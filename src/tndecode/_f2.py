@@ -38,46 +38,8 @@ def row_reduce(a) -> tuple[np.ndarray, list[int]]:
     return m, pivots
 
 
-def _row_reduce_left(m: np.ndarray, ncols: int) -> tuple[np.ndarray, list[int]]:
-    """Row-reduce, choosing pivots only among the first ``ncols`` columns."""
-    m = m.copy()
-    rows = m.shape[0]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= rows:
-            break
-        hits = np.nonzero(m[r:, c])[0]
-        if hits.size == 0:
-            continue
-        pivot = r + hits[0]
-        if pivot != r:
-            m[[r, pivot]] = m[[pivot, r]]
-        for i in np.nonzero(m[:, c])[0]:
-            if i != r:
-                m[i, :] ^= m[r, :]
-        pivots.append(c)
-        r += 1
-    return m, pivots
-
-
 def rank(a) -> int:
     return len(row_reduce(a)[1])
-
-
-def solve(a, b) -> np.ndarray | None:
-    """One solution x of a @ x = b over GF(2), or None if inconsistent."""
-    a = as_f2(a)
-    b = np.asarray(b, dtype=np.uint8) % 2
-    aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
-    red, pivots = row_reduce(aug)
-    n = a.shape[1]
-    if n in pivots:
-        return None
-    x = np.zeros(n, dtype=np.uint8)
-    for i, c in enumerate(pivots):
-        x[c] = red[i, n]
-    return x
 
 
 class F2Solver:
@@ -89,9 +51,10 @@ class F2Solver:
         aug = np.concatenate(
             [self.a, np.eye(self.a.shape[0], dtype=np.uint8)], axis=1
         )
-        full, pivots = _row_reduce_left(aug, self.n)
-        self.pivots = pivots
-        self.red = full[:, : self.n]
+        full, pivots = row_reduce(aug)
+        # a pivot past column n adds a left-kernel row of a to the rows
+        # above it, which changes rowops @ b only for inconsistent b
+        self.pivots = [c for c in pivots if c < self.n]
         self.rowops = full[:, self.n:]
 
     def solve(self, b) -> np.ndarray | None:
@@ -103,17 +66,3 @@ class F2Solver:
         if np.any(rb[len(self.pivots):]):
             return None
         return x
-
-
-def kernel_basis(a) -> np.ndarray:
-    """Rows spanning the null space {x : a @ x = 0} over GF(2)."""
-    a = as_f2(a)
-    red, pivots = row_reduce(a)
-    n = a.shape[1]
-    free = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((len(free), n), dtype=np.uint8)
-    for j, fc in enumerate(free):
-        basis[j, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[j, pc] = red[i, fc]
-    return basis

@@ -17,7 +17,7 @@ first, where a_j / b_j are the exponents of logical x_j / z_j.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,7 +113,10 @@ class DecodingNetwork:
     def class_values(self, contract=None) -> list[ContractionValue]:
         if contract is None:
             contract = lambda net: net.contract_exact()
-        vals = [contract(net) for net in self.networks()]
+        return self.to_class_values([contract(net) for net in self.networks()])
+
+    def to_class_values(self, vals: list[ContractionValue]) -> list[ContractionValue]:
+        """Class values from the contraction values of networks(), in order."""
         if self.transform == "wht":
             vals = wht_class_values(vals)
         if self.class_xor:

@@ -17,9 +17,7 @@ import numpy as np
 
 from .codes import five_qubit_code, surface_code_2d, surface_code_3d
 from .dem import (
-    CompressedCubicNetwork,
     CompressionError,
-    DemParseError,
     brute_force_class_probs,
     compress_dem,
     parse_dem,
@@ -35,6 +33,7 @@ from .harness import (
     logical_error_rate,
 )
 from .noise import depolarizing
+from .oracle import css_sector_class_probs, stabilizer_class_probs
 from .tensornet import ContractionCapError
 
 
@@ -56,39 +55,49 @@ _NUMERICAL = (
 )
 
 
+def _load_dem(path, p=None):
+    """Parse a DEM file and scale it by p (None or 1 leaves it as is)."""
+    try:
+        with open(path) as f:
+            model = parse_dem(f.read())
+        return model if p is None or p == 1.0 else model.scaled(p)
+    except (OSError, ValueError) as exc:
+        raise InputError(str(exc))
+
+
 def _make_problem(code, dem, picture, sector, p, d, chi_compress=None):
+    """The decoding problem the options describe; invalid values exit 2."""
     if (code is None) == (dem is None):
         raise InputError("give exactly one of --code or --dem")
-    if dem is not None:
-        try:
-            with open(dem) as f:
-                model = parse_dem(f.read())
-        except OSError as exc:
-            raise InputError(str(exc))
-        if p is not None and p != 1.0:
-            model = model.scaled(p)
-        if chi_compress:
+    if dem is None and p is None:
+        raise InputError("--p is required with --code")
+    try:
+        if dem is not None:
+            model = _load_dem(dem, p)
+            if not chi_compress:
+                return DemProblem(model)
             state = compress_dem(model, chi_compress)
             return DemProblem(
                 state.model, network_builder=lambda mdl, m, ports: state.decoding_network(m, ports)
             )
-        return DemProblem(model)
-    if p is None:
-        raise InputError("--p is required with --code")
-    if code == "five-qubit":
-        _, tab = five_qubit_code()
-        return StabilizerProblem(tab, [depolarizing(p)] * tab.n, picture)
-    if code == "surface2d":
-        if sector == "both":
-            raise InputError("2D decoding is per sector; use --sector x or z")
-        return CssSectorProblem(surface_code_2d(d), sector, p, picture)
-    if code == "surface3d":
-        c = surface_code_3d(d)
-        if sector == "both":
-            if picture != "detector":
-                raise InputError("depolarizing 3D decoding uses the detector picture")
-            return CubicDepolarizingProblem(c, p)
-        return CssSectorProblem(c, sector, p, picture)
+        if code == "five-qubit":
+            _, tab = five_qubit_code()
+            return StabilizerProblem(tab, [depolarizing(p)] * tab.n, picture)
+        if code == "surface2d":
+            if sector == "both":
+                raise InputError("2D decoding is per sector; use --sector x or z")
+            return CssSectorProblem(surface_code_2d(d), sector, p, picture)
+        if code == "surface3d":
+            c = surface_code_3d(d)
+            if sector == "both":
+                if picture != "detector":
+                    raise InputError("depolarizing 3D decoding uses the detector picture")
+                return CubicDepolarizingProblem(c, p)
+            return CssSectorProblem(c, sector, p, picture)
+    except _NUMERICAL as exc:
+        _fail_numerical(exc)
+    except ValueError as exc:
+        raise InputError(str(exc))
     raise InputError(f"unknown code {code!r}")
 
 
@@ -172,7 +181,7 @@ def decode_cmd(code, dem, picture, sector, p, d, chi_peps, chi_split, chi_mps,
 
 @main.command("sample")
 @with_problem_options
-@click.option("--shots", type=int, default=1000)
+@click.option("--shots", type=click.IntRange(min=1), default=1000)
 @click.option("--seed", type=int, default=0)
 @click.option("--out", type=click.Path(), required=True, help="CSV output path")
 def sample_cmd(code, dem, picture, sector, p, d, chi_peps, chi_split, chi_mps,
@@ -197,7 +206,9 @@ def sample_cmd(code, dem, picture, sector, p, d, chi_peps, chi_split, chi_mps,
     manifest = os.path.splitext(out)[0] + ".config.json"
     with open(manifest, "w") as f:
         json.dump(
-            {"engine": config.engine, "chi_peps": config.chi_peps,
+            {"code": code, "dem": dem, "p": p, "d": d,
+             "chi_compress": chi_compress, "seed": seed, "shots": shots,
+             "engine": config.engine, "chi_peps": config.chi_peps,
              "chi_split": config.chi_split, "chi_mps": config.chi_mps,
              "cutoff": config.cutoff, "picture": picture, "sector": sector},
             f, indent=2)
@@ -209,7 +220,7 @@ def sample_cmd(code, dem, picture, sector, p, d, chi_peps, chi_split, chi_mps,
 @with_base_options
 @click.option("--p", "ps", type=float, multiple=True, required=True)
 @click.option("--d", "ds", type=int, multiple=True, required=True)
-@click.option("--shots", type=int, default=1000)
+@click.option("--shots", type=click.IntRange(min=1), default=1000)
 @click.option("--seed", type=int, default=0)
 @click.option("--out", type=click.Path(), required=True, help="JSON output path")
 def threshold_cmd(code, dem, picture, sector, chi_peps, chi_split,
@@ -252,11 +263,7 @@ def threshold_cmd(code, dem, picture, sector, chi_peps, chi_split,
 @click.option("--out", type=click.Path(), required=True, help="cache file (.npz)")
 def compress_cmd(dem, chi_compress, out):
     """Compress a detector error model onto a cubic lattice (offline)."""
-    try:
-        with open(dem) as f:
-            model = parse_dem(f.read())
-    except (OSError, DemParseError) as exc:
-        raise InputError(str(exc))
+    model = _load_dem(dem)
     try:
         state = compress_dem(model, chi_compress)
         state.save(out)
@@ -275,13 +282,7 @@ def oracle_cmd(code, dem, picture, sector, p, d, chi_peps, chi_split, chi_mps,
                chi_compress, engine, syndrome):
     """Brute-force reference class probabilities for small instances."""
     if dem is not None:
-        try:
-            with open(dem) as f:
-                model = parse_dem(f.read())
-        except (OSError, DemParseError) as exc:
-            raise InputError(str(exc))
-        if p is not None and p != 1.0:
-            model = model.scaled(p)
+        model = _load_dem(dem, p)
         m = _parse_syndrome(syndrome, model.n_detectors)
         try:
             probs = brute_force_class_probs(model, m)
@@ -289,8 +290,6 @@ def oracle_cmd(code, dem, picture, sector, p, d, chi_peps, chi_split, chi_mps,
             raise InputError(str(exc))
     else:
         problem = _make_problem(code, None, picture, sector, p, d)
-        if getattr(problem, "code", None) is not None and problem.code.n > 16:
-            raise InputError("oracle instances are limited to n <= 16")
         m = _parse_syndrome(syndrome)
         probs = _oracle_probs(problem, m)
     for i, v in enumerate(probs):
@@ -299,49 +298,20 @@ def oracle_cmd(code, dem, picture, sector, p, d, chi_peps, chi_split, chi_mps,
 
 
 def _oracle_probs(problem, m):
-    """Exhaustive enumeration oracle over error patterns."""
+    """Enumeration oracle for the problems small enough to enumerate."""
     if isinstance(problem, StabilizerProblem):
-        import itertools
-
-        from .pauli import PauliOperator, decompose, syndrome_of
-
         tab = problem.tableau
         if tab.n > 10:
             raise InputError("stabilizer oracle is limited to n <= 10")
         if len(m) != tab.n - tab.k:
             raise InputError("bad syndrome length")
-        out = np.zeros(4 ** tab.k)
-        for ds in itertools.product(range(4), repeat=tab.n):
-            x = np.array([(v == 1) | (v == 2) for v in ds], np.uint8)
-            z = np.array([(v == 2) | (v == 3) for v in ds], np.uint8)
-            e = PauliOperator(x, z)
-            if not np.array_equal(syndrome_of(e, tab), m):
-                continue
-            dec = decompose(e, tab)
-            idx = 0
-            for j in range(tab.k):
-                idx = (idx << 1) | int(dec.logical_b[j])
-            for j in range(tab.k):
-                idx = (idx << 1) | int(dec.logical_a[j])
-            w = 1.0
-            for q, v in enumerate(ds):
-                w *= problem.noise[q].probs[v]
-            out[idx] += w
-        return out
+        return stabilizer_class_probs(tab, problem.noise, m)
     if isinstance(problem, CssSectorProblem):
-        n = problem.code.n
+        if problem.code.n > 16:
+            raise InputError("oracle instances are limited to n <= 16")
         if len(m) != problem.h.shape[0]:
             raise InputError("bad syndrome length")
-        pats = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
-        syn = pats @ problem.h.T % 2
-        match = np.all(syn == m, axis=1)
-        w = np.prod(
-            np.where(pats == 1, problem.p, 1 - problem.p), axis=1
-        )
-        cls = pats @ problem.con_log % 2
-        out = np.zeros(2)
-        np.add.at(out, cls[match], w[match])
-        return out
+        return css_sector_class_probs(problem.h, problem.con_log, problem.p, m)
     raise InputError("no oracle for this problem type")
 
 

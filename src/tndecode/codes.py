@@ -8,11 +8,10 @@ The coordinates double as placement hints for the tensor-network builders.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import _f2
 from .pauli import PauliOperator, Tableau, build_tableau
 
 
@@ -99,13 +98,6 @@ class CssCode:
             check_coords_x=tuple(tuple(c) for c in cc["x"]),
             check_coords_z=tuple(tuple(c) for c in cc["z"]),
         )
-
-
-@dataclass(frozen=True)
-class DualGenerators:
-    """Rows g with h @ g.T = 0, spanning ker(h) minus the logical span."""
-
-    g: np.ndarray
 
 
 def five_qubit_code() -> tuple[list[PauliOperator], Tableau]:
@@ -285,32 +277,3 @@ def surface_code_3d(d: int) -> CssCode:
         check_coords_x=tuple(x_sites),
         check_coords_z=tuple(z_sites),
     )
-
-
-def dual_generators(h, logicals) -> DualGenerators:
-    """Rows spanning ker(h) modulo the span of the given logical rows.
-
-    h must have full row rank; the output g satisfies h @ g.T = 0 and
-    rank(g) = n - rank(h) - len(logicals), with logicals independent of g.
-    """
-    h = _f2.as_f2(h)
-    logicals = np.atleast_2d(np.asarray(logicals, dtype=np.uint8) % 2)
-    if logicals.size == 0:
-        logicals = logicals.reshape(0, h.shape[1])
-    if _f2.rank(h) != h.shape[0]:
-        raise ValueError("h is rank deficient")
-    ker = _f2.kernel_basis(h)
-    # peel logical directions out of the kernel: keep kernel vectors that
-    # extend the logical span, in deterministic order
-    rows = []
-    basis = list(logicals)
-    r0 = _f2.rank(logicals) if len(logicals) else 0
-    cur = r0
-    for v in ker:
-        cand = np.array(basis + [v], dtype=np.uint8)
-        if _f2.rank(cand) == cur + 1:
-            rows.append(v)
-            basis.append(v)
-            cur += 1
-    g = np.array(rows, dtype=np.uint8).reshape(len(rows), h.shape[1])
-    return DualGenerators(g=g)

@@ -358,17 +358,6 @@ class CompressedCubicNetwork(LatticeState):
         touched_set = set(touched)
         marked = set()
         w = (1.0 - mech.p, mech.p)
-        if len(path) == 1:
-            pos = path[0]
-            site = self.sites[pos]
-            dd = site.shape[6]
-            m = np.zeros((dd, dd))
-            for b in (0, 1):
-                for din in range(dd):
-                    m[din, din ^ b if dd == 2 else din] += w[b]
-            self.sites[pos] = np.tensordot(site, m, axes=[[6], [0]])
-            self.rescale(pos)
-            return
         for i, pos in enumerate(path):
             first, last = i == 0, i == len(path) - 1
             t = 1 if (pos in touched_set and pos not in marked) else 0

@@ -24,7 +24,7 @@ from .builders import (
     css_sector_parts,
 )
 from .codes import CssCode
-from .noise import QubitNoise, depolarizing
+from .noise import depolarizing
 from .pauli import PauliOperator, Tableau, decompose, syndrome_of
 from .tensornet import ContractionValue
 
@@ -252,7 +252,7 @@ def decode(problem, m, config: ContractionConfig = ContractionConfig()) -> Decod
     dn = problem.network(m)
     nets = dn.networks()
     contract = _contractor(nets[0], config)
-    values = dn.class_values(contract=contract)
+    values = dn.to_class_values([contract(net) for net in nets])
     chosen = _argmax_class(values)
     logs = [v.log_scale for v in values if v.mantissa != 0.0]
     diag = {
@@ -263,37 +263,19 @@ def decode(problem, m, config: ContractionConfig = ContractionConfig()) -> Decod
 
 
 def _decide(problem, m, config: ContractionConfig) -> int:
-    """Chosen class only, skipping contractions that cannot change the
-    argmax: with one logical port the sign of the t=1 setting decides; with
-    two ports the all-plus setting is common to every pairwise difference
-    and is skipped."""
+    """The class decode chooses, without contracting the all-plus setting.
+
+    With WHT ports, setting t=0 adds the same f_0 / 2^k to every class
+    value, so it cannot move the argmax: it enters the transform as zero.
+    """
     dn = problem.network(m)
-    if dn.transform != "wht" or dn.n_ports not in (1, 2):
-        nets = dn.networks()
-        contract = _contractor(nets[0], config)
-        vals = [contract(net) for net in nets]
-        if dn.transform == "direct":
-            ordered = [vals[i ^ dn.class_xor] for i in range(len(vals))]
-            return _argmax_class(ordered)
-        return decode(problem, m, config).chosen_class
     nets = dn.networks()
     contract = _contractor(nets[0], config)
-    if dn.n_ports == 1:
-        f1 = contract(nets[1])
-        chosen = 0 if f1.mantissa >= 0.0 else 1
-        return chosen ^ dn.class_xor
-    # two ports: scores s_c = sum_{t != 0} (-1)^{c.t} f_t rank the classes
-    fs = [contract(nets[t]) for t in (1, 2, 3)]
-    ref = max(v.log_abs for v in fs)
-    if ref == -math.inf:
-        return dn.class_xor
-    rel = np.array([v.mantissa * math.exp(v.log_scale - ref) for v in fs])
-    scores = []
-    for c in range(4):
-        signs = [(-1) ** bin(c & t).count("1") for t in (1, 2, 3)]
-        scores.append(float(np.dot(signs, rel)))
-    chosen = int(np.argmax(scores))
-    return chosen ^ dn.class_xor
+    if dn.transform == "wht" and dn.n_ports:
+        vals = [ContractionValue(0.0)] + [contract(net) for net in nets[1:]]
+    else:
+        vals = [contract(net) for net in nets]
+    return _argmax_class(dn.to_class_values(vals))
 
 
 def sample_errors(problem, shots: int, seed: int, start: int = 0):

@@ -1,14 +1,9 @@
-"""Single-qubit i.i.d. Pauli noise distributions and CSS factorization."""
+"""Single-qubit i.i.d. Pauli noise distributions."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class NotFactorizableError(ValueError):
-    """Distribution is not a product of independent X and Z flips."""
 
 
 @dataclass(frozen=True)
@@ -53,22 +48,6 @@ class QubitNoise:
         return x, z
 
 
-@dataclass(frozen=True)
-class FactoredCssNoise:
-    """Independent X- and Z-flip rates whose product gives a QubitNoise."""
-
-    p_x: float
-    p_z: float
-
-    def __post_init__(self):
-        if not (0 <= self.p_x <= 1 and 0 <= self.p_z <= 1):
-            raise ValueError("flip rates must lie in [0, 1]")
-
-    def to_qubit_noise(self) -> QubitNoise:
-        px, pz = self.p_x, self.p_z
-        return QubitNoise(((1 - px) * (1 - pz), px * (1 - pz), px * pz, (1 - px) * pz))
-
-
 def bit_flip(p: float) -> QubitNoise:
     if not 0 <= p <= 1:
         raise ValueError("p out of range")
@@ -86,44 +65,3 @@ def depolarizing(p: float) -> QubitNoise:
     if not 0 <= p <= 1:
         raise ValueError("p out of range")
     return QubitNoise((1 - p, p / 3, p / 3, p / 3))
-
-
-def depolarizing_channel_distribution(p: float) -> QubitNoise:
-    """Pauli distribution of the channel rho -> (1-p) rho + p I/2.
-
-    Writing I/2 as the average of the four Pauli conjugations gives X, Y and
-    Z each probability p/4.  Note ``depolarizing(q)`` with q = 3p/4 is the
-    same distribution under the error-rate convention.
-    """
-    if not 0 <= p <= 1:
-        raise ValueError("p out of range")
-    return QubitNoise((1 - 3 * p / 4, p / 4, p / 4, p / 4))
-
-
-def depolarizing_mechanism_rate(p: float) -> float:
-    """Bernoulli rate r such that three independent X, Y and Z flip
-    mechanisms at rate r compose to the depolarizing channel of strength p
-    (the rho -> (1-p) rho + p I/2 convention)."""
-    if not 0 <= p <= 1:
-        raise ValueError("p out of range")
-    return (1 - math.sqrt(1 - p)) / 2
-
-
-def css_factorization(q: QubitNoise, tol: float = 1e-9) -> FactoredCssNoise:
-    """Invert the product form P(I)=(1-px)(1-pz), P(X)=px(1-pz), etc.
-
-    Raises NotFactorizableError when no (px, pz) reproduces all four
-    probabilities to relative tolerance ``tol``.
-    """
-    px = q.p_x + q.p_y
-    pz = q.p_z + q.p_y
-    cand = FactoredCssNoise(px, pz)
-    rebuilt = cand.to_qubit_noise()
-    scale = max(max(q.probs), 1e-300)
-    err = max(abs(a - b) for a, b in zip(rebuilt.probs, q.probs))
-    if err > tol * scale:
-        raise NotFactorizableError(
-            f"distribution {q.probs} is not an independent X/Z product "
-            f"(max deviation {err:.3g})"
-        )
-    return cand

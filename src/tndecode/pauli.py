@@ -7,7 +7,7 @@ decoding formalism depends on them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -285,17 +285,6 @@ def decompose(q: PauliOperator, t: Tableau) -> CosetDecomposition:
     lam = np.array([symplectic_product(q, z) for z in t.z_basis()], dtype=np.uint8)
     mu = np.array([symplectic_product(q, x) for x in t.x_basis()], dtype=np.uint8)
     return CosetDecomposition(lam=lam, mu=mu, k=t.k)
-
-
-def recompose(dec: CosetDecomposition, t: Tableau) -> PauliOperator:
-    out = PauliOperator.identity(t.n)
-    for e, x in zip(dec.lam, t.x_basis()):
-        if e:
-            out = out * x
-    for e, z in zip(dec.mu, t.z_basis()):
-        if e:
-            out = out * z
-    return out
 
 
 def destabilizer_rep(m, t: Tableau) -> PauliOperator:

@@ -2,22 +2,18 @@
 
 Tensors carry ordered leg labels; a label shared by exactly two tensors in a
 network is a bond, a label appearing once is an open leg.  Besides dense
-arrays there are three structured kinds -- weighted equality, weighted
-parity and the 2x2 Hadamard kernel -- which are kept symbolic until a
-contraction actually needs their entries, so high-degree check nodes never
-materialize.
+arrays there are two structured kinds -- weighted equality and weighted
+parity -- which are kept symbolic until a contraction actually needs their
+entries, so high-degree check nodes never materialize.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 DENSIFY_CAP = 2 ** 20
-
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]])
-
 
 class ContractionCapError(RuntimeError):
     """An intermediate tensor would exceed the densification cap."""
@@ -75,11 +71,6 @@ class ContractionValue:
             return self
         return ContractionValue(self.mantissa, self.log_scale + log_factor)
 
-    def __mul__(self, other: "ContractionValue") -> "ContractionValue":
-        return ContractionValue.from_float(
-            self.mantissa * other.mantissa, self.log_scale + other.log_scale
-        )
-
     def ratio_to(self, other: "ContractionValue") -> float:
         """self / other as a plain float (other must be nonzero)."""
         return (self.mantissa / other.mantissa) * math.exp(
@@ -91,11 +82,10 @@ class ContractionValue:
 class Tensor:
     """A node of the network.
 
-    kind is one of "dense", "eq", "par", "hadamard".  Dense tensors carry
-    ``values``; equality nodes take value w0 when all legs read 0 and w1
-    when all read 1; parity nodes take w_even / w_odd according to the
-    parity of the leg values; the Hadamard kernel is the unnormalized
-    [[1,1],[1,-1]].  Structured kinds have all legs of dimension 2.
+    kind is one of "dense", "eq", "par".  Dense tensors carry ``values``;
+    equality nodes take value w0 when all legs read 0 and w1 when all read
+    1; parity nodes take w_even / w_odd according to the parity of the leg
+    values.  Structured kinds have all legs of dimension 2.
     """
 
     legs: list[str]
@@ -113,9 +103,6 @@ class Tensor:
             self.values = np.asarray(self.values, dtype=float)
             if self.values.ndim != len(self.legs):
                 raise ValueError("leg count does not match array rank")
-        elif self.kind == "hadamard":
-            if len(self.legs) != 2:
-                raise ValueError("Hadamard kernel has exactly 2 legs")
         elif self.kind not in ("eq", "par"):
             raise ValueError(f"unknown tensor kind {self.kind!r}")
 
@@ -130,10 +117,6 @@ class Tensor:
     @classmethod
     def parity(cls, legs, w_even: float = 1.0, w_odd: float = 0.0) -> "Tensor":
         return cls(legs=list(legs), kind="par", w0=w_even, w1=w_odd)
-
-    @classmethod
-    def hadamard(cls, legs) -> "Tensor":
-        return cls(legs=list(legs), kind="hadamard")
 
     @property
     def ndim(self) -> int:
@@ -164,8 +147,6 @@ class Tensor:
             )
         if self.kind == "dense":
             return self.values
-        if self.kind == "hadamard":
-            return _HADAMARD.copy()
         k = len(self.legs)
         if k == 0:
             # a 0-leg equality still sums over its binary variable; a 0-leg
@@ -195,8 +176,6 @@ class Tensor:
             return Tensor.dense(np.tensordot(self.values, v, axes=([ax], [0])), rest)
         if len(v) != 2:
             raise ValueError("structured legs have dimension 2")
-        if self.kind == "hadamard":
-            return Tensor.dense(_HADAMARD @ v if self.legs[1] == leg else _HADAMARD.T @ v, rest)
         if self.kind == "eq":
             w0, w1 = self.w0 * v[0], self.w1 * v[1]
             if not rest:
@@ -207,17 +186,6 @@ class Tensor:
         if not rest:
             return Tensor.dense(np.array(we), [])
         return Tensor.parity(rest, we, wo)
-
-    def rename_leg(self, old: str, new: str) -> None:
-        self.legs[self.legs.index(old)] = new
-
-    def describe(self) -> str:
-        if self.kind == "dense":
-            return f"dense{self.shape} legs={self.legs}"
-        if self.kind == "hadamard":
-            return f"hadamard legs={self.legs}"
-        name = "eq" if self.kind == "eq" else "par"
-        return f"{name}({self.w0:g},{self.w1:g}) legs={self.legs}"
 
 
 class TensorNetwork:
@@ -272,20 +240,6 @@ class TensorNetwork:
             elif len(tids) > 2:
                 raise ValueError(f"leg {leg!r} appears on {len(tids)} tensors")
         return out
-
-    def validate(self) -> None:
-        for leg, tids in self.leg_map().items():
-            if len(tids) > 2:
-                raise ValueError(f"leg {leg!r} appears on {len(tids)} tensors")
-            if len(tids) == 2:
-                a, b = tids
-                if self.tensors[a].dim(leg) != self.tensors[b].dim(leg):
-                    raise ValueError(f"bond {leg!r} has mismatched dimensions")
-
-    def fix_open_leg(self, label: str, vector) -> None:
-        """Contract an open leg against a vector in place."""
-        (tid,) = self.leg_map()[label]
-        self.tensors[tid] = self.tensors[tid].fix_leg(label, vector)
 
     def contract_pair(self, a: int, b: int, cap: int = DENSIFY_CAP) -> int:
         """Replace tensors a and b by their contraction over shared legs."""
@@ -345,17 +299,6 @@ class TensorNetwork:
             net.contract_pair(best[1], best[2], cap=cap)
         (t,) = net.tensors.values()
         return ContractionValue.from_float(float(t.densify(cap)), net.log_scale)
-
-    def dump(self) -> str:
-        """Human-readable listing of tensors and connectivity."""
-        lines = [f"log_scale={self.log_scale:.12g}"]
-        for tid in sorted(self.tensors):
-            lines.append(f"T{tid}: {self.tensors[tid].describe()}")
-        for leg, (a, b) in sorted(self.bonds().items()):
-            lines.append(f"bond {leg}: T{a} -- T{b}")
-        for leg in self.open_legs():
-            lines.append(f"open {leg}")
-        return "\n".join(lines)
 
 
 def walsh_hadamard_transform(v) -> np.ndarray:

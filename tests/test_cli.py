@@ -47,7 +47,13 @@ def test_decode_surface2d_matches_oracle(runner):
                        parse_class_values(orc.output), rtol=1e-9)
 
 
-def test_input_errors_exit_2(runner):
+def test_input_errors_exit_2(runner, tmp_path):
+    toy = str(tmp_path / "toy.dem")
+    with open(toy, "w") as f:
+        f.write("error(0.1) D0 L0\n")
+    unknown = str(tmp_path / "unknown.dem")
+    with open(unknown, "w") as f:
+        f.write("error(0.1) D0 L0\nshift_detectors 1\n")
     cases = [
         ["decode", "--code", "five-qubit", "--dem", "x.dem", "--p", "0.1",
          "--syndrome", "0000"],
@@ -64,6 +70,14 @@ def test_input_errors_exit_2(runner):
          "--out", "x.npz"],
         ["oracle", "--code", "surface3d", "--d", "3", "--p", "0.1",
          "--sector", "z", "--syndrome", "0"],  # n > 16
+        ["decode", "--code", "surface2d", "--sector", "x", "--d", "4",
+         "--p", "0.1", "--syndrome", "000000"],  # even 2D distance
+        ["decode", "--dem", unknown, "--syndrome", "0"],  # unknown DEM line
+        ["decode", "--dem", toy, "--p", "50", "--syndrome", "0"],  # p > 1
+        ["decode", "--code", "five-qubit", "--p", "1.5",
+         "--syndrome", "0000"],  # p > 1
+        ["sample", "--code", "five-qubit", "--p", "0.1", "--shots", "0",
+         "--out", str(tmp_path / "x.csv")],  # no shots
     ]
     for args in cases:
         res = runner.invoke(main, args)
@@ -90,6 +104,10 @@ def test_sample_writes_csv_and_manifest(runner, tmp_path):
     assert rows[0] == rows[1]
     manifest = json.load(open(str(tmp_path / "runs.config.json")))
     assert manifest["engine"] == "exact" and manifest["chi_peps"] == 24
+    assert manifest["code"] == "five-qubit" and manifest["dem"] is None
+    assert manifest["p"] == 0.05 and manifest["d"] == 3
+    assert manifest["chi_compress"] is None
+    assert manifest["seed"] == 3 and manifest["shots"] == 50
 
 
 def test_threshold_writes_json(runner, tmp_path):

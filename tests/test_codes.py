@@ -7,7 +7,6 @@ import pytest
 from tndecode import _f2
 from tndecode.codes import (
     CssCode,
-    dual_generators,
     five_qubit_code,
     surface_code_2d,
     surface_code_3d,
@@ -133,26 +132,3 @@ def test_code_json_round_trip():
         assert back.qubit_coords == code.qubit_coords
         assert back.check_coords_x == code.check_coords_x
         assert back.check_coords_z == code.check_coords_z
-
-
-def test_dual_generators_examples():
-    # repetition check: the kernel is exactly the logical span, so G is empty
-    g = dual_generators(np.array([[1, 1]]), np.array([[1, 1]]))
-    assert g.g.shape == (0, 2)
-    # zero-row h: kernel is everything, dual rows = n - #logicals
-    g = dual_generators(np.zeros((0, 3), dtype=np.uint8), np.array([[1, 1, 1]]))
-    assert g.g.shape[0] == 2
-    # d=3 2D surface code: dual of h_z is spanned by the X-type checks
-    code = surface_code_2d(3)
-    g = dual_generators(code.h_z, code.logicals_x[0].x_bits)
-    assert not np.any(code.h_z @ g.g.T % 2)
-    assert g.g.shape[0] == code.n - code.h_z.shape[0] - 1
-    assert _f2.rank(g.g) == g.g.shape[0]
-    # logicals stay independent of the dual rows
-    aug = np.vstack([g.g, code.logicals_x[0].x_bits])
-    assert _f2.rank(aug) == g.g.shape[0] + 1
-
-
-def test_dual_generators_rank_deficient_rejected():
-    with pytest.raises(ValueError):
-        dual_generators(np.array([[1, 1], [1, 1]]), np.zeros((0, 2), dtype=np.uint8))

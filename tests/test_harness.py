@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tests._oracles import css_sector_class_probs, stabilizer_class_probs
-from tndecode.builders import css_sector_parts
+from tndecode.builders import DecodingNetwork, css_sector_parts
 from tndecode.codes import five_qubit_code, surface_code_2d, surface_code_3d
 from tndecode.harness import (
     ContractionConfig,
@@ -21,8 +21,8 @@ from tndecode.harness import (
     sample_errors,
 )
 from tndecode.noise import depolarizing
-from tndecode.dem import parse_dem
-from tndecode.tensornet import ContractionValue
+from tndecode.dem import merge_mechanisms, parse_dem
+from tndecode.tensornet import ContractionValue, TensorNetwork
 
 EXACT = ContractionConfig(engine="exact")
 
@@ -109,6 +109,49 @@ def test_argmax_scale_invariance_and_ties():
     tie2 = [ContractionValue(0.0), ContractionValue.from_float(0.5),
             ContractionValue.from_float(0.5)]
     assert _argmax_class(tie2) == 1
+
+
+def test_decide_breaks_exact_ties_like_decode():
+    # the certain mechanism flips L0 and sets class_xor; the p=0.5 one
+    # makes both classes equally likely (0.4 each) for m=01
+    model = merge_mechanisms(
+        parse_dem("error(0.5) L0\nerror(0.2) D0\nerror(1) D1 L0\n"))
+    prob = DemProblem(model)
+    m = np.array([0, 1], np.uint8)
+    assert prob.network(m).class_xor == 1
+    res = decode(prob, m, EXACT)
+    vals = [v.value for v in res.class_values]
+    assert vals == pytest.approx([0.4, 0.4], rel=1e-12)
+    assert res.chosen_class == 0
+    assert _decide(prob, m, EXACT) == res.chosen_class
+
+
+def test_decide_skips_only_the_all_plus_contraction(monkeypatch):
+    model = parse_dem("error(0.1) D0 L0\nerror(0.2) D0 D1 L1\n"
+                      "error(0.15) D1 L2\nerror(0.05) D1 L0 L2\n")
+    prob = DemProblem(model)
+    counts = {"contract": 0, "build": 0}
+    contract_exact = TensorNetwork.contract_exact
+    networks = DecodingNetwork.networks
+
+    def counted_contract(self, *args, **kwargs):
+        counts["contract"] += 1
+        return contract_exact(self, *args, **kwargs)
+
+    def counted_networks(self):
+        counts["build"] += 1
+        return networks(self)
+
+    monkeypatch.setattr(TensorNetwork, "contract_exact", counted_contract)
+    monkeypatch.setattr(DecodingNetwork, "networks", counted_networks)
+    for m in itertools.product((0, 1), repeat=2):
+        m = np.array(m, np.uint8)
+        counts.update(contract=0, build=0)
+        res = decode(prob, m, EXACT)
+        assert counts == {"contract": 8, "build": 1}
+        counts.update(contract=0, build=0)
+        assert _decide(prob, m, EXACT) == res.chosen_class
+        assert counts == {"contract": 7, "build": 1}
 
 
 def test_dem_problem_near_deterministic_mechanism():

@@ -1,22 +1,10 @@
-"""Single-qubit Pauli noise distributions and CSS factorization."""
-import itertools
-
+"""Single-qubit Pauli noise distributions."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tndecode.noise import (
-    FactoredCssNoise,
-    NotFactorizableError,
-    QubitNoise,
-    bit_flip,
-    css_factorization,
-    depolarizing,
-    depolarizing_channel_distribution,
-    depolarizing_mechanism_rate,
-    phase_flip,
-)
+from tndecode.noise import QubitNoise, bit_flip, depolarizing, phase_flip
 
 
 def test_depolarizing_examples():
@@ -29,12 +17,10 @@ def test_depolarizing_examples():
 @settings(max_examples=100, deadline=None)
 def test_depolarizing_normalized(p):
     assert sum(depolarizing(p).probs) == pytest.approx(1.0, abs=1e-12)
-    assert sum(depolarizing_channel_distribution(p).probs) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_out_of_range_rejected():
-    for fn in (depolarizing, depolarizing_channel_distribution, bit_flip, phase_flip,
-               depolarizing_mechanism_rate):
+    for fn in (depolarizing, bit_flip, phase_flip):
         with pytest.raises(ValueError):
             fn(-0.1)
         with pytest.raises(ValueError):
@@ -50,49 +36,6 @@ def test_qubit_noise_validation():
     assert (q.p_i, q.p_x, q.p_y, q.p_z) == (0.7, 0.1, 0.1, 0.1)
     assert q.prob_of(0, 0) == 0.7 and q.prob_of(1, 0) == 0.1
     assert q.prob_of(1, 1) == 0.1 and q.prob_of(0, 1) == 0.1
-
-
-def test_mechanism_rate_endpoints():
-    assert depolarizing_mechanism_rate(0.0) == 0.0
-    assert depolarizing_mechanism_rate(1.0) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_mechanism_rate_composition_grid():
-    # composing independent X, Y and Z flip mechanisms at rate r over all
-    # 2^3 on/off patterns reproduces the rho -> (1-p) rho + p I/2 channel
-    paulis = {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}
-    mech_bits = [(1, 0), (1, 1), (0, 1)]  # X, Y, Z as (x, z)
-    for p in np.linspace(0.0, 1.0, 20):
-        r = depolarizing_mechanism_rate(p)
-        dist = np.zeros(4)
-        for fired in itertools.product((0, 1), repeat=3):
-            x = z = 0
-            w = 1.0
-            for f, (bx, bz) in zip(fired, mech_bits):
-                w *= r if f else 1 - r
-                if f:
-                    x ^= bx
-                    z ^= bz
-            dist[paulis[(x, z)]] += w
-        ref = depolarizing_channel_distribution(p).probs
-        assert np.allclose(dist, ref, atol=1e-12), p
-
-
-def test_css_factorization_examples():
-    f = css_factorization(bit_flip(0.2))
-    assert (f.p_x, f.p_z) == pytest.approx((0.2, 0.0), abs=1e-12)
-    fwd = FactoredCssNoise(0.1, 0.2)
-    rec = css_factorization(fwd.to_qubit_noise())
-    assert (rec.p_x, rec.p_z) == pytest.approx((0.1, 0.2), abs=1e-12)
-    with pytest.raises(NotFactorizableError):
-        css_factorization(depolarizing(0.1))
-
-
-def test_factored_noise_validation():
-    with pytest.raises(ValueError):
-        FactoredCssNoise(-0.1, 0.2)
-    with pytest.raises(ValueError):
-        FactoredCssNoise(0.1, 1.2)
 
 
 def test_sample_determinism_and_marginals():
