@@ -29,6 +29,7 @@ DEFAULT_CUTOFF = 1e-14
 OVERSAMPLE = 16  # sketch columns beyond the kept rank
 POWER_STEPS = 4  # power steps before giving up on the sketch
 POWER_TOL = 1e-2  # relative change of the discarded weight that counts as settled
+TSQR_BLOCK = 1024  # rows per block of _tsqr_r
 
 
 def _range_svd(M: np.ndarray, k: int, rng):
@@ -82,6 +83,20 @@ def _svd_trunc(M: np.ndarray, chi: int, cutoff: float = DEFAULT_CUTOFF, rng=None
         return u[:, :1] * 0.0, s[:1], vt[:1] * 0.0
     keep = max(1, min(k, int(np.count_nonzero(s > cutoff * s[0]))))
     return u[:, :keep], s[:keep], vt[:keep]
+
+
+def _tsqr_r(M: np.ndarray) -> np.ndarray:
+    """R factor of M = QR, min(m, n) x n, by a tall-skinny QR (Demmel,
+    Grigori, Hoemmen, Langou, arXiv:0808.2664): factor blocks of
+    TSQR_BLOCK rows, stack their R factors and repeat until one block is
+    left.  Each block fits in cache, where one flat QR of a matrix with
+    millions of rows runs memory-bound; no Q is formed.  R is that of a
+    flat QR up to the signs of its rows, so R^T R = M^T M."""
+    block = max(TSQR_BLOCK, 2 * M.shape[1])  # each pass at least halves the rows
+    while M.shape[0] > block:
+        M = np.concatenate([_qr(M[i:i + block], mode='raw', check_finite=False)[1]
+                            for i in range(0, M.shape[0], block)])
+    return _qr(M, mode='raw', check_finite=False)[1]
 
 
 @dataclass
@@ -412,43 +427,48 @@ class LatticeState:
         self.sites[pos], log_factor = pow2_normalize(self.sites[pos])
         self.log_scale += log_factor
 
-    def _absorb_outer(self, pos, skip_axis, cutoff, invert=False):
-        """Multiply (invert: divide) the site at pos by the weights of its
-        nontrivial bonds other than the one at skip_axis."""
+    def _site_matrix(self, pos, ax):
+        """The site at pos as a matrix (other axes) x (bond at ax, gate
+        leg), the weights of its other nontrivial bonds as one row scaling,
+        and the dimensions of the other axes."""
         A = self.sites[pos]
-        for npos, ax in self.neighbors(pos):
-            lv = self.get_lam(pos, npos)
-            if ax == skip_axis or len(lv) == 1:
-                continue
-            if invert:
-                if np.min(lv) < cutoff * np.max(lv):
-                    raise FloatingPointError("bond weights degenerate; chi too small")
-                lv = 1.0 / lv
-            shape = [1] * A.ndim
-            shape[ax] = len(lv)
-            A = A * lv.reshape(shape)
-        self.sites[pos] = A
+        rest = [i for i in range(A.ndim) if i not in (ax, self.GATE_AXIS)]
+        mat = np.transpose(A, rest + [ax, self.GATE_AXIS]).reshape(
+            -1, A.shape[ax] * A.shape[self.GATE_AXIS])
+        lam_at = {nax: self.get_lam(pos, npos) for npos, nax in self.neighbors(pos)}
+        w = np.ones(1)
+        for i in rest:
+            lv = lam_at.get(i)
+            if lv is not None and len(lv) > 1:
+                w = np.multiply.outer(w, lv).ravel()
+            elif A.shape[i] > 1:
+                w = np.repeat(w, A.shape[i])
+        return mat, w, [A.shape[i] for i in rest]
 
     def simple_update(self, p1, p2, gate, chi, cutoff=DEFAULT_CUTOFF):
         """Contract gate[g1, g2] between the GATE_AXIS legs of two adjacent
         sites into their shared bond, truncated to chi singular values
-        (Jiang, Weng, Xiang, arXiv:0806.3719): absorb the outer bond
-        weights, QR-reduce both sites, take a truncated SVD of the core,
-        then divide the outer weights back out."""
-        g = self.GATE_AXIS
+        (Jiang, Weng, Xiang, arXiv:0806.3719), without forming Q.
+
+        Each site is read as a matrix A, (other axes) x (bond, gate leg),
+        whose rows carry its other bond weights W; only the R factor of
+        W A is taken, by a tall-skinny QR (_tsqr_r).  With G = diag(lam)
+        gate acting on the (bond, gate leg) columns, the core R1 G R2^T
+        has the truncated SVD u s v^T, and the new sites are the
+        projections A1 G R2^T v / s and A2 G^T R1^T u / s.  These equal
+        W^-1 Q1 u and W^-1 Q2 v of the textbook update, so neither R^-1
+        nor a division by the outer weights is needed: the only division
+        is by kept singular values.  The stored site arrays are only read;
+        the new sites are fresh arrays."""
         ax1, ax2 = self.bond_axes(p1, p2)
-        reduced = []
-        for pos, ax in ((p1, ax1), (p2, ax2)):
-            self._absorb_outer(pos, ax, cutoff)
-            A = self.sites[pos]
-            rest = [i for i in range(A.ndim) if i not in (ax, g)]
-            M = np.transpose(A, rest + [ax, g]).reshape(-1, A.shape[ax] * A.shape[g])
-            Q, R = _qr(M, mode='economic', check_finite=False)
-            reduced.append((Q, R.reshape(-1, A.shape[ax], A.shape[g]),
-                            [A.shape[i] for i in rest]))
-        (Q1, R1, rest1), (Q2, R2, rest2) = reduced
-        core = np.einsum("abg,b,gh,cbh->ac", R1, self.get_lam(p1, p2), gate, R2,
-                         optimize=True)
+        (mat1, w1, rest1), (mat2, w2, rest2) = (
+            self._site_matrix(p1, ax1), self._site_matrix(p2, ax2))
+        lam = self.get_lam(p1, p2)
+        R1 = _tsqr_r(mat1 * w1[:, None])
+        R2 = _tsqr_r(mat2 * w2[:, None])
+        R1G = ((R1.reshape(len(R1), len(lam), -1) @ gate) * lam[:, None]).reshape(len(R1), -1)
+        R2G = ((R2.reshape(len(R2), len(lam), -1) @ gate.T) * lam[:, None]).reshape(len(R2), -1)
+        core = R1 @ R2G.T
         u, s, vt = _svd_trunc(core, chi, cutoff)
         if s[0] == 0.0:
             raise FloatingPointError("bond collapsed to zero during update")
@@ -457,9 +477,10 @@ class LatticeState:
         f = float(s[0])
         self.log_scale += math.log(f)
         self.lam[self.bond(p1, p2)] = s / f
-        for pos, ax, N, rest in ((p1, ax1, Q1 @ u, rest1), (p2, ax2, Q2 @ vt.T, rest2)):
+        for pos, ax, mat, proj, rest in ((p1, ax1, mat1, (vt / s[:, None]) @ R2G, rest1),
+                                         (p2, ax2, mat2, (u / s).T @ R1G, rest2)):
+            N = mat @ proj.T
             self.sites[pos] = np.moveaxis(N.reshape(rest + [len(s)]), -1, ax)
-            self._absorb_outer(pos, ax, cutoff, invert=True)
             self.rescale(pos)
 
 

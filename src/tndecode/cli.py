@@ -226,6 +226,9 @@ def sample_cmd(code, dem, picture, sector, p, d, chi_peps, chi_split, chi_mps,
 def threshold_cmd(code, dem, picture, sector, chi_peps, chi_split,
                   chi_mps, chi_compress, engine, ps, ds, shots, seed, out):
     """Sweep a p grid for two distances and estimate the crossing."""
+    if dem is not None or code == "five-qubit":
+        raise InputError("a DEM or the five-qubit code has one distance; "
+                         "threshold needs --code surface2d or surface3d")
     if len(ds) != 2:
         raise InputError("give exactly two --d values")
     if len(ps) < 3:

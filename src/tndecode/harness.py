@@ -331,18 +331,22 @@ class CrossingEstimate:
 
 
 def _polyline_crossing(ps, r1, r2):
-    """First crossing of two polylines sampled on the same grid, by linear
-    interpolation on their difference; None if no sign change."""
+    """First crossing of two polylines sampled on the same grid: a strict
+    sign change of their difference, located by linear interpolation.  A
+    run of zero differences between opposite signs crosses at its middle;
+    a touch (zeros between equal signs, or at an end of the grid) and
+    identical curves do not cross: None."""
     diff = np.asarray(r1, dtype=float) - np.asarray(r2, dtype=float)
-    for i in range(len(ps) - 1):
-        a, b = diff[i], diff[i + 1]
-        if a == 0.0:
-            return float(ps[i])
-        if a * b < 0:
-            t = a / (a - b)
-            return float(ps[i] + t * (ps[i + 1] - ps[i]))
-    if diff[-1] == 0.0:
-        return float(ps[-1])
+    last = None  # index of the last nonzero difference
+    for j, b in enumerate(diff):
+        if b == 0.0:
+            continue
+        if last is not None and (diff[last] > 0) != (b > 0):
+            if j == last + 1:
+                a = diff[last]
+                return float(ps[last] + a / (a - b) * (ps[j] - ps[last]))
+            return float((ps[last + 1] + ps[j - 1]) / 2)
+        last = j
     return None
 
 

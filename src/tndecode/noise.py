@@ -20,22 +20,6 @@ class QubitNoise:
             raise ValueError(f"probabilities sum to {sum(p)}, not 1")
         object.__setattr__(self, "probs", p)
 
-    @property
-    def p_i(self) -> float:
-        return self.probs[0]
-
-    @property
-    def p_x(self) -> float:
-        return self.probs[1]
-
-    @property
-    def p_y(self) -> float:
-        return self.probs[2]
-
-    @property
-    def p_z(self) -> float:
-        return self.probs[3]
-
     def prob_of(self, x_bit: int, z_bit: int) -> float:
         """Probability of the Pauli with the given symplectic component bits."""
         return self.probs[{(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}[(x_bit, z_bit)]]
@@ -46,18 +30,6 @@ class QubitNoise:
         x = ((draws == 1) | (draws == 2)).astype(np.uint8)
         z = ((draws == 2) | (draws == 3)).astype(np.uint8)
         return x, z
-
-
-def bit_flip(p: float) -> QubitNoise:
-    if not 0 <= p <= 1:
-        raise ValueError("p out of range")
-    return QubitNoise((1 - p, p, 0.0, 0.0))
-
-
-def phase_flip(p: float) -> QubitNoise:
-    if not 0 <= p <= 1:
-        raise ValueError("p out of range")
-    return QubitNoise((1 - p, 0.0, 0.0, p))
 
 
 def depolarizing(p: float) -> QubitNoise:

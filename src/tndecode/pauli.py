@@ -153,14 +153,6 @@ class CosetDecomposition:
     def logical_b(self) -> np.ndarray:
         return self.mu[: self.k]
 
-    @property
-    def syndrome_part(self) -> np.ndarray:
-        return self.lam[self.k:]
-
-    @property
-    def stabilizer_part(self) -> np.ndarray:
-        return self.mu[self.k:]
-
 
 def _sweep(vectors: list[np.ndarray], x: np.ndarray, z: np.ndarray) -> list[np.ndarray]:
     """Project ``vectors`` onto the symplectic complement of the pair (x, z)."""

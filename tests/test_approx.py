@@ -326,3 +326,127 @@ def test_svd_trunc_full_path_unchanged(svd_calls, shape, rng):
     assert svd_calls["qr"] == 0
     for g, w in zip(got, _truncated_full_svd(M, 32)):
         assert np.array_equal(g, w)
+
+
+# -- tall-skinny QR and the lean simple update
+
+
+def _rank_deficient(rng, m, n, rank):
+    return rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+
+
+def _with_zero_rows(rng, m, n):
+    M = rng.standard_normal((m, n))
+    M[1024:3072] = 0.0  # two whole blocks
+    M[rng.choice(m, size=50, replace=False)] = 0.0
+    return M
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: rng.standard_normal((40000, 64)),  # three passes of blocks
+    lambda rng: rng.standard_normal((5 * 1024 + 37, 16)),  # short last block
+    lambda rng: _rank_deficient(rng, 3000, 24, 5),
+    lambda rng: _with_zero_rows(rng, 4000, 16),
+    lambda rng: rng.standard_normal((10, 30)),  # wide: one flat QR
+    lambda rng: rng.standard_normal((1024, 16)),  # exactly one block
+], ids=["tall", "short_last_block", "rank_deficient", "zero_rows", "wide", "one_block"])
+def test_tsqr_r_matches_flat_qr(svd_calls, make):
+    M = make(np.random.default_rng(51))
+    R = approx._tsqr_r(M)
+    m, n = M.shape
+    assert R.shape == (min(m, n), n) and np.array_equal(R, np.triu(R))
+    # every block goes through the module's _qr, which the bench traces
+    assert svd_calls["qr"] >= -(-m // approx.TSQR_BLOCK)
+    gram = M.T @ M
+    assert np.linalg.norm(R.T @ R - gram) <= 1e-12 * np.linalg.norm(gram)
+    flat = np.linalg.qr(M, mode="r")
+    np.testing.assert_allclose(np.abs(np.diag(R)), np.abs(np.diag(flat)),
+                               rtol=1e-10, atol=1e-12 * np.linalg.norm(M))
+
+
+def test_tsqr_r_terminates_when_columns_exceed_half_a_block(monkeypatch):
+    # blocks grow to twice the column count, so each pass still halves the rows
+    monkeypatch.setattr(approx, "TSQR_BLOCK", 8)
+    M = np.random.default_rng(52).standard_normal((500, 6))
+    R = approx._tsqr_r(M)
+    assert R.shape == (6, 6)
+    assert np.linalg.norm(R.T @ R - M.T @ M) <= 1e-12 * np.linalg.norm(M.T @ M)
+
+
+def _pair_value(state, p1, p2, gate=None):
+    """Two sites contracted over their shared bond (and, given a gate, over
+    their GATE_AXIS legs through it), with every bond weight applied once,
+    times exp(log_scale); outer legs stay open."""
+    ax1, ax2 = state.bond_axes(p1, p2)
+    B = []
+    for pos, skip in ((p1, ax1), (p2, ax2)):
+        A = state.sites[pos]
+        for npos, ax in state.neighbors(pos):
+            lv = state.get_lam(pos, npos)
+            if ax != skip and len(lv) > 1:
+                A = A * lv.reshape([-1 if i == ax else 1 for i in range(A.ndim)])
+        B.append(A)
+    lam = state.get_lam(p1, p2)
+    B1 = B[0] * lam.reshape([-1 if i == ax1 else 1 for i in range(B[0].ndim)])
+    if gate is None:
+        T = np.tensordot(B1, B[1], axes=([ax1], [ax2]))
+    else:
+        g = state.GATE_AXIS
+        T = np.tensordot(np.tensordot(B1, gate, axes=([g], [0])), B[1],
+                         axes=([ax1, B1.ndim - 1], [ax2, g]))
+    return T * math.exp(state.log_scale)
+
+
+def _held(state):
+    """Every site and weight array the state holds, with its bytes."""
+    arrays = list(state.sites.values()) + list(state.lam.values())
+    return [(a, a.tobytes()) for a in arrays]
+
+
+def test_simple_update_keeps_held_arrays_and_value():
+    # The site at a is laid out so that its (other axes) x (bond, gate)
+    # matrix is a reshaped view of the stored array, and its outer bond
+    # carries weights: scaling that matrix in place would write into the
+    # array the state (and any network read out of it) still holds.
+    rng = np.random.default_rng(53)
+    a, b = (0, 0), (1, 0)
+    state = SweepState([a, b])
+    state.sites[a] = rng.standard_normal((3, 2, 1, 1, 1, 3))
+    state.sites[b] = rng.standard_normal((2, 1, 1, 2, 2, 3))
+    state.lam[state.bond(a, b)] = np.array([1.0, 0.3])
+    state.lam[state.bond((-1, 0), a)] = np.array([1.0, 1e-3, 0.2])
+    state.lam[state.bond(b, (1, 1))] = np.array([0.5, 1.0])
+    gate = rng.standard_normal((3, 3))
+    want = _pair_value(state, a, b, gate)
+    held = _held(state)
+    state.simple_update(a, b, gate, chi=BIG)
+    assert all(arr.tobytes() == raw for arr, raw in held)
+    assert state.truncation_cut < 1e-12  # chi covers the rank: nothing cut
+    got = _pair_value(state, a, b)
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_truncate_bond_full_rank_exact_with_spread_outer_weights():
+    # compressor layout: six bond axes and the open leg, plus the unit gate
+    # axis truncate_bond appends; outer weights spread over 1e-12..1
+    from tndecode.dem import CompressedCubicNetwork, DetectorErrorModel
+
+    rng = np.random.default_rng(54)
+    a, b = (0, 0, 0), (1, 0, 0)
+    state = CompressedCubicNetwork(DetectorErrorModel(), (2, 1, 1), {}, None, 1e-14)
+    # axes: +x, -x, +y, -y, +z, -z, open
+    state.sites[a] = rng.standard_normal((4, 3, 3, 1, 2, 1, 2))
+    state.sites[b] = rng.standard_normal((3, 4, 1, 1, 1, 1, 1))  # view layout
+    spread = lambda n: rng.permutation(np.logspace(-12, 0, n))  # noqa: E731
+    state.lam[state.bond(a, b)] = rng.uniform(0.1, 1.0, 4)
+    state.lam[state.bond((-1, 0, 0), a)] = spread(3)
+    state.lam[state.bond(a, (0, 1, 0))] = spread(3)
+    state.lam[state.bond(a, (0, 0, 1))] = spread(2)
+    state.lam[state.bond(b, (2, 0, 0))] = spread(3)
+    want = _pair_value(state, a, b)
+    held = _held(state)
+    state.truncate_bond(a, b)
+    assert all(arr.tobytes() == raw for arr, raw in held)
+    assert state.sites[a].ndim == 7 and state.truncation_cut < 1e-12
+    got = _pair_value(state, a, b)
+    assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))

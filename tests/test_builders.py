@@ -16,7 +16,7 @@ from tndecode.builders import (
 )
 from tndecode.codes import CssCode, five_qubit_code, surface_code_2d, surface_code_3d
 from tndecode.dem import parse_dem
-from tndecode.noise import QubitNoise, bit_flip, depolarizing
+from tndecode.noise import QubitNoise, depolarizing
 from tndecode.pauli import PauliOperator
 from tndecode.tensornet import ContractionValue
 
@@ -177,7 +177,7 @@ def test_detector_network_separates_for_factored_noise():
     # cutting them splits the network into the two sector sub-networks
     code = surface_code_2d(3)
     tab = code.tableau()
-    noise = [bit_flip(0.1)] * code.n
+    noise = [QubitNoise((0.9, 0.1, 0.0, 0.0))] * code.n  # X flips only
     dn = build_detector_network(tab, noise, np.zeros(12, np.uint8))
     net = dn.networks()[0]
     # adjacency, treating rank-1 dense 2-leg tensors as cut

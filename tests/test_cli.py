@@ -78,6 +78,8 @@ def test_input_errors_exit_2(runner, tmp_path):
          "--syndrome", "0000"],  # p > 1
         ["sample", "--code", "five-qubit", "--p", "0.1", "--shots", "0",
          "--out", str(tmp_path / "x.csv")],  # no shots
+        ["threshold", "--dem", toy, "--p", "0.5", "--p", "1", "--p", "2",
+         "--d", "3", "--d", "5", "--out", str(tmp_path / "x.json")],  # a DEM has one distance
     ]
     for args in cases:
         res = runner.invoke(main, args)

@@ -15,6 +15,7 @@ from tndecode.harness import (
     StabilizerProblem,
     _argmax_class,
     _decide,
+    _polyline_crossing,
     decode,
     estimate_crossing,
     logical_error_rate,
@@ -192,6 +193,38 @@ def test_estimate_crossing_synthetic():
     c3 = estimate_crossing(ps, {3: [0.05, 0.10, 0.16], 5: [0.02, 0.11, 0.30]},
                            10000)
     assert c3.interval == c.interval
+
+
+@pytest.mark.parametrize("diff, want", [
+    ([-1, 1, 0, -1], 0.15),  # first sign change, interpolated
+    ([-1, 0, 1, 2], 0.2),  # a zero between opposite signs
+    ([-1, 0, 0, 1], 0.25),  # a run of zeros between them: its middle
+    ([-1, 0, -1, -2], None),  # a touch
+    ([0, 1, 2, 3], None),  # equal at the first point only
+    ([1, 2, 1, 0], None),  # equal at the last point only
+    ([0, 0, 0, 0], None),  # identical curves
+])
+def test_polyline_crossing_is_a_strict_sign_change(diff, want):
+    ps = [0.1, 0.2, 0.3, 0.4]
+    r2 = [0.5, 0.25, 0.125, 0.0625]
+    got = _polyline_crossing(ps, np.add(r2, diff), r2)
+    assert got == (None if want is None else pytest.approx(want))
+
+
+def test_identical_zero_curves_have_no_crossing():
+    # the logical of this DEM follows from its syndrome, so every shot is
+    # decoded correctly at every scale and both curves are all zero
+    model = parse_dem("error(0.1) D0 L0\nerror(0.2) D0 D1\nerror(0.1) D1 L0\n")
+    ps = [0.5, 1.0, 2.0]
+    curves = {
+        d: [logical_error_rate(DemProblem(model.scaled(p)), 200, 100 * d + i,
+                               EXACT).rate
+            for i, p in enumerate(ps)]
+        for d in (3, 5)
+    }
+    assert curves == {3: [0.0] * 3, 5: [0.0] * 3}
+    cross = estimate_crossing(ps, curves, 200)
+    assert not cross.found and cross.p_c is None and cross.interval is None
 
 
 def test_estimate_crossing_argument_validation():

@@ -233,15 +233,15 @@ def test_decompose_examples_five_qubit():
     # pure stabilizer: no logical or destabilizer part
     dec = decompose(tab.stabilizers[0], tab)
     assert not dec.logical_a.any() and not dec.logical_b.any()
-    assert not dec.syndrome_part.any()
+    assert not dec.lam[dec.k:].any()  # syndrome part
     # logical x times a stabilizer
     q = tab.logical_x[0] * tab.stabilizers[1]
     dec = decompose(q, tab)
     assert list(dec.logical_a) == [1] and list(dec.logical_b) == [0]
-    assert list(dec.stabilizer_part) == [0, 1, 0, 0]
+    assert list(dec.mu[dec.k:]) == [0, 1, 0, 0]  # stabilizer part
     # destabilizer basis element: unit syndrome part, no logical part
     dec = decompose(tab.destabilizers[1], tab)
-    assert list(dec.syndrome_part) == [0, 1, 0, 0]
+    assert list(dec.lam[dec.k:]) == [0, 1, 0, 0]
     assert not dec.logical_a.any() and not dec.logical_b.any()
 
 
