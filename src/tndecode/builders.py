@@ -81,7 +81,9 @@ def wht_class_values(vals: list[ContractionValue]) -> list[ContractionValue]:
 
     Applies the unnormalized Walsh-Hadamard transform and divides by the
     batch size, working relative to the largest magnitude to stay in
-    double-precision range.
+    double-precision range.  Each class value is a sum of signed setting
+    values, so one far below the largest keeps only the largest's absolute
+    error: it is not accurate to its own size.
     """
     ref = max(v.log_abs for v in vals)
     if ref == -math.inf:

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import sys
 
 import click
 import numpy as np
 
+from .approx import DEFAULT_CUTOFF
 from .codes import five_qubit_code, surface_code_2d, surface_code_3d
 from .dem import (
     CompressionError,
@@ -28,9 +30,10 @@ from .harness import (
     CubicDepolarizingProblem,
     DemProblem,
     StabilizerProblem,
+    campaign_seed,
+    count_failures,
     decode as _decode,
     estimate_crossing,
-    logical_error_rate,
 )
 from .noise import depolarizing
 from .oracle import css_sector_class_probs, stabilizer_class_probs
@@ -179,6 +182,36 @@ def decode_cmd(code, dem, picture, sector, p, d, chi_peps, chi_split, chi_mps,
     click.echo(f"chosen class: {res.chosen_class}")
 
 
+def _failures(problem, config, seed, shots):
+    """Failures and wall seconds of shots [0, shots) of the seed stream;
+    numerical failures exit 3."""
+    try:
+        with count_failures(problem, config, seed, [(0, shots)]) as counts:
+            [(failures, seconds)] = counts
+    except _NUMERICAL as exc:
+        _fail_numerical(exc)
+    return failures, seconds
+
+
+def _check_manifest(out, manifest_path, manifest):
+    """Exit 2 unless out is new or its manifest differs from this run's at
+    most in p, d, seed and shots, which each row records."""
+    if not os.path.exists(out):
+        return
+    try:
+        with open(manifest_path) as f:
+            old = json.load(f)
+        differ = sorted(k for k in (old.keys() | manifest.keys())
+                        - {"p", "d", "seed", "shots"}
+                        if old.get(k) != manifest.get(k))
+    except (OSError, ValueError, AttributeError):
+        raise InputError(f"{out} has no readable manifest {manifest_path}; "
+                         "nothing appended")
+    if differ:
+        raise InputError(f"{out} was written with other settings "
+                         f"({', '.join(differ)}); nothing appended")
+
+
 @main.command("sample")
 @with_problem_options
 @click.option("--shots", type=click.IntRange(min=1), default=1000)
@@ -187,33 +220,33 @@ def decode_cmd(code, dem, picture, sector, p, d, chi_peps, chi_split, chi_mps,
 def sample_cmd(code, dem, picture, sector, p, d, chi_peps, chi_split, chi_mps,
                chi_compress, engine, shots, seed, out):
     """Monte Carlo logical-error-rate run; appends a CSV row per run and
-    writes a JSON manifest of the configuration next to it."""
-    problem = _make_problem(code, dem, picture, sector, p, d, chi_compress)
+    writes a JSON manifest of the configuration next to it.  An existing
+    CSV is appended to only by a run with the same settings."""
     config = _config(engine, chi_peps, chi_split, chi_mps)
-    try:
-        rec = logical_error_rate(problem, shots, seed, config, d=d, p=p)
-    except _NUMERICAL as exc:
-        _fail_numerical(exc)
+    manifest = {"code": code, "dem": dem, "p": p, "d": d,
+                "chi_compress": chi_compress, "seed": seed, "shots": shots,
+                "engine": config.engine, "chi_peps": config.chi_peps,
+                "chi_split": config.chi_split, "chi_mps": config.chi_mps,
+                "cutoff": DEFAULT_CUTOFF, "picture": picture, "sector": sector}
+    manifest_path = os.path.splitext(out)[0] + ".config.json"
+    _check_manifest(out, manifest_path, manifest)
+    problem = _make_problem(code, dem, picture, sector, p, d, chi_compress)
+    failures, seconds = _failures(problem, config, seed, shots)
+    rate = failures / shots
+    stderr = math.sqrt(rate * (1 - rate) / shots)
     new = not os.path.exists(out)
     with open(out, "a", newline="") as f:
         w = csv.writer(f)
         if new:
             w.writerow(["problem", "p", "d", "shots", "failures", "rate",
                         "stderr", "seed", "seconds"])
-        w.writerow([rec.problem_id, rec.p, rec.d, rec.shots, rec.failures,
-                    f"{rec.rate:.6g}", f"{rec.stderr:.3g}", rec.seed,
-                    f"{rec.wall_time:.1f}"])
-    manifest = os.path.splitext(out)[0] + ".config.json"
-    with open(manifest, "w") as f:
-        json.dump(
-            {"code": code, "dem": dem, "p": p, "d": d,
-             "chi_compress": chi_compress, "seed": seed, "shots": shots,
-             "engine": config.engine, "chi_peps": config.chi_peps,
-             "chi_split": config.chi_split, "chi_mps": config.chi_mps,
-             "cutoff": config.cutoff, "picture": picture, "sector": sector},
-            f, indent=2)
-    click.echo(f"rate {rec.rate:.4g} +- {rec.stderr:.2g} "
-               f"({rec.failures}/{rec.shots} failures, {rec.wall_time:.1f}s)")
+        w.writerow([problem.problem_id, float("nan") if p is None else p, d,
+                    shots, failures, f"{rate:.6g}", f"{stderr:.3g}", seed,
+                    f"{seconds:.1f}"])
+    with open(manifest_path, "w") as f:
+        json.dump(manifest, f, indent=2)
+    click.echo(f"rate {rate:.4g} +- {stderr:.2g} "
+               f"({failures}/{shots} failures, {seconds:.1f}s)")
 
 
 @main.command("threshold")
@@ -236,21 +269,17 @@ def threshold_cmd(code, dem, picture, sector, chi_peps, chi_split,
     config = _config(engine, chi_peps, chi_split, chi_mps)
     ps = sorted(ps)
     curves = {}
-    try:
-        for dist in ds:
-            rates = []
-            for idx, pp in enumerate(ps):
-                problem = _make_problem(code, dem, picture, sector, pp, dist,
-                                        chi_compress)
-                rec = logical_error_rate(
-                    problem, shots, seed + 100 * dist + idx, config, d=dist, p=pp
-                )
-                rates.append(rec.rate)
-                click.echo(f"d={dist} p={pp}: {rec.rate:.4g}", err=True)
-            curves[dist] = rates
-        cross = estimate_crossing(ps, curves, shots)
-    except _NUMERICAL as exc:
-        _fail_numerical(exc)
+    for dist in ds:
+        rates = []
+        for idx, pp in enumerate(ps):
+            problem = _make_problem(code, dem, picture, sector, pp, dist,
+                                    chi_compress)
+            failures, _ = _failures(problem, config,
+                                    campaign_seed(seed, dist, idx), shots)
+            rates.append(failures / shots)
+            click.echo(f"d={dist} p={pp}: {rates[-1]:.4g}", err=True)
+        curves[dist] = rates
+    cross = estimate_crossing(ps, curves, shots)
     result = {
         "ps": ps, "shots": shots, "curves": {str(k): v for k, v in curves.items()},
         "crossing_found": cross.found, "p_c": cross.p_c, "interval": cross.interval,

@@ -489,7 +489,7 @@ class CompressedCubicNetwork(LatticeState):
     # -- persistence -------------------------------------------------------
     def save(self, path) -> None:
         data = {
-            "version": np.array(1),
+            "version": np.array(2),
             "dims": np.array(self.dims),
             "chi": np.array(self.chi if self.chi else 0),
             "cutoff": np.array(self.cutoff),
@@ -499,6 +499,10 @@ class CompressedCubicNetwork(LatticeState):
             "dem_text": np.frombuffer(
                 serialize_dem(self.model).encode(), dtype=np.uint8
             ),
+            # what the model text cannot hold
+            "n_detectors": np.array(self.model.n_detectors),
+            "baseline_flips": np.array(self.model.baseline_flips, dtype=np.int64),
+            "baseline_logicals": np.array(self.model.baseline_logicals, dtype=np.int64),
         }
         for pos, a in self.sites.items():
             data["T_%d_%d_%d" % pos] = a
@@ -509,10 +513,14 @@ class CompressedCubicNetwork(LatticeState):
     @classmethod
     def load(cls, path) -> "CompressedCubicNetwork":
         z = np.load(path)
-        if int(z["version"]) != 1:
+        version = int(z["version"])
+        if version not in (1, 2):
             raise CompressionError("unknown cache version")
-        model = parse_dem(bytes(z["dem_text"]).decode())
-        model = merge_mechanisms(model)
+        model = merge_mechanisms(parse_dem(bytes(z["dem_text"]).decode()))
+        if version == 2:
+            model.n_detectors = int(z["n_detectors"])
+            model.baseline_flips = tuple(int(v) for v in z["baseline_flips"])
+            model.baseline_logicals = tuple(int(v) for v in z["baseline_logicals"])
         dims = tuple(int(v) for v in z["dims"])
         site_of = {
             int(i): tuple(int(c) for c in pos)

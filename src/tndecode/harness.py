@@ -4,11 +4,13 @@ A decoding problem bundles a code (or detector error model) with its noise
 so that the harness can build per-syndrome networks, draw error samples,
 and score the decoder.  Contraction engines are chosen per configuration:
 exact for coordinate-free networks, boundary MPS for planar ones, the 3D
-layer sweep for cubic ones.
+layer sweep for cubic ones.  count_failures is the one Monte Carlo loop:
+the CLI and the campaign tools all count decoder failures through it.
 """
 from __future__ import annotations
 
-import math
+import contextlib
+import multiprocessing
 import time
 from dataclasses import dataclass, field
 
@@ -37,8 +39,6 @@ class ContractionConfig:
     chi_peps: int = 24
     chi_split: int = 8
     chi_mps: int = 32
-    cutoff: float = 1e-14
-    reverse: bool = False
 
 
 @dataclass
@@ -46,27 +46,6 @@ class DecodeResult:
     class_values: list
     chosen_class: int
     diagnostics: dict = field(default_factory=dict)
-
-
-@dataclass
-class ExperimentRecord:
-    problem_id: str
-    p: float
-    d: int
-    shots: int
-    failures: int
-    seed: int
-    config: ContractionConfig
-    wall_time: float
-
-    @property
-    def rate(self) -> float:
-        return self.failures / self.shots
-
-    @property
-    def stderr(self) -> float:
-        r = self.rate
-        return math.sqrt(r * (1 - r) / self.shots)
 
 
 def _contractor(net_probe, config: ContractionConfig):
@@ -86,11 +65,10 @@ def _contractor(net_probe, config: ContractionConfig):
     if engine == "exact":
         return lambda net: net.contract_exact()
     if engine == "mps":
-        return lambda net: mps_contract_2d(net, config.chi_mps, config.cutoff)
+        return lambda net: mps_contract_2d(net, config.chi_mps)
     if engine == "sweep":
         return lambda net: sweep_contract_3d(
-            net, config.chi_peps, config.chi_split, config.chi_mps,
-            config.cutoff, config.reverse,
+            net, config.chi_peps, config.chi_split, config.chi_mps
         )
     raise ValueError(f"unknown engine {config.engine!r}")
 
@@ -248,7 +226,12 @@ class DemProblem:
 
 
 def decode(problem, m, config: ContractionConfig = ContractionConfig()) -> DecodeResult:
-    """Full maximum-likelihood decode: all class values, argmax class."""
+    """Full maximum-likelihood decode: all class values, argmax class.
+
+    With WHT ports a class value far below the top one is accurate only to
+    the top value's absolute error, not to its own size (see
+    builders.wht_class_values); the chosen class is unaffected.
+    """
     dn = problem.network(m)
     nets = dn.networks()
     contract = _contractor(nets[0], config)
@@ -290,35 +273,52 @@ def sample_errors(problem, shots: int, seed: int, start: int = 0):
         yield problem.sample(rng)
 
 
-def logical_error_rate(
-    problem,
-    shots: int,
-    seed: int,
-    config: ContractionConfig = ContractionConfig(),
-    d: int = 0,
-    p: float | None = None,
-    progress=None,
-) -> ExperimentRecord:
-    """Monte Carlo estimate of the decoder failure rate."""
-    if shots < 1:
-        raise ValueError("shots must be positive")
+def campaign_seed(base: int, d: int, idx: int) -> int:
+    """Seed of grid point idx at distance d in a threshold campaign."""
+    return base + 100 * d + idx
+
+
+def _span_failures(job, span):
+    """Failures and wall seconds of shots [start, start + shots) of job,
+    a (problem, config, seed) triple."""
+    (problem, config, seed), (start, shots) = job, span
     t0 = time.time()
-    failures = 0
-    for i, (true_cls, m) in enumerate(sample_errors(problem, shots, seed)):
-        if _decide(problem, m, config) != true_cls:
-            failures += 1
-        if progress is not None:
-            progress(i + 1, failures)
-    return ExperimentRecord(
-        problem_id=problem.problem_id,
-        p=getattr(problem, "p", float("nan")) if p is None else p,
-        d=d,
-        shots=shots,
-        failures=failures,
-        seed=seed,
-        config=config,
-        wall_time=time.time() - t0,
-    )
+    failures = sum(_decide(problem, m, config) != true_cls
+                   for true_cls, m in sample_errors(problem, shots, seed, start))
+    return failures, time.time() - t0
+
+
+# the job of a forked pool worker, set once by the pool's initializer
+_worker_job = None
+
+
+def _start_worker(job):
+    global _worker_job
+    _worker_job = job
+
+
+def _worker_span_failures(span):
+    return _span_failures(_worker_job, span)
+
+
+@contextlib.contextmanager
+def count_failures(problem, config: ContractionConfig, seed: int, spans,
+                   workers: int = 1):
+    """Yield an iterator of (failures, seconds), one per (start, shots)
+    span of the sample_errors stream, in span order.
+
+    With workers > 1 the spans run on that many forked processes, which
+    get the job through the pool initializer at fork, so the problem need
+    not pickle (a compressed DEM's network builder is a closure).  The
+    pool is closed on leaving the block, also when it raises.
+    """
+    job = (problem, config, seed)
+    if workers <= 1:
+        yield (_span_failures(job, span) for span in spans)
+    else:
+        with multiprocessing.get_context("fork").Pool(
+                workers, _start_worker, (job,)) as pool:
+            yield pool.imap(_worker_span_failures, spans)
 
 
 @dataclass
@@ -353,16 +353,16 @@ def _polyline_crossing(ps, r1, r2):
 def estimate_crossing(
     ps,
     curves: dict,
-    shots: dict | int,
+    shots: int,
     replicas: int = 400,
     seed: int = 20220901,
     level: float = 0.95,
 ) -> CrossingEstimate:
     """Threshold estimate from logical-error-rate curves of two distances.
 
-    curves maps distance -> list of rates on the common p grid; shots gives
-    the per-point sample size (one int, or per distance).  The central
-    estimate is the linear-interpolation crossing; the interval comes from
+    curves maps distance -> list of rates on the common p grid; shots is
+    the sample size of every point.  The central estimate is the
+    linear-interpolation crossing; the interval comes from
     a binomial parametric bootstrap (resampling failure counts at the
     observed rates) with at least 200 replicas.
     """
@@ -372,15 +372,13 @@ def estimate_crossing(
         raise ValueError("need at least three grid points")
     if replicas < 200:
         raise ValueError("use at least 200 bootstrap replicas")
-    (d1, r1), (d2, r2) = sorted(curves.items())
-    if isinstance(shots, int):
-        shots = {d1: shots, d2: shots}
+    (_, r1), (_, r2) = sorted(curves.items())
     center = _polyline_crossing(ps, r1, r2)
     rng = np.random.default_rng(seed)
     found = []
     for _ in range(replicas):
-        b1 = rng.binomial(shots[d1], r1) / shots[d1]
-        b2 = rng.binomial(shots[d2], r2) / shots[d2]
+        b1 = rng.binomial(shots, r1) / shots
+        b2 = rng.binomial(shots, r2) / shots
         c = _polyline_crossing(ps, b1, b2)
         if c is not None:
             found.append(c)

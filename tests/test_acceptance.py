@@ -42,8 +42,8 @@ from tndecode.harness import (
     CssSectorProblem,
     DemProblem,
     _decide,
+    count_failures,
     estimate_crossing,
-    logical_error_rate,
     sample_errors,
 )
 from tndecode.noise import depolarizing
@@ -345,9 +345,10 @@ def test_acceptance_11_determinism_across_chunking():
     code = surface_code_2d(3)
     prob = CssSectorProblem(code, "x", 0.1, "detector")
     cfg = ContractionConfig(engine="mps", chi_mps=32)
-    whole = logical_error_rate(prob, 60, seed=77, config=cfg)
+    with count_failures(prob, cfg, 77, [(0, 60)]) as counts:
+        [(whole, _)] = counts
     chunked = 0
     for start in (0, 20, 40):
         for cls, m in sample_errors(prob, 20, 77, start=start):
             chunked += _decide(prob, m, cfg) != cls
-    assert whole.failures == chunked
+    assert whole == chunked

@@ -112,6 +112,32 @@ def test_sample_writes_csv_and_manifest(runner, tmp_path):
     assert manifest["seed"] == 3 and manifest["shots"] == 50
 
 
+def test_sample_refuses_to_mix_configurations(runner, tmp_path):
+    out = str(tmp_path / "runs.csv")
+    manifest = str(tmp_path / "runs.config.json")
+    args = ["sample", "--code", "five-qubit", "--p", "0.05", "--shots", "20",
+            "--out", out]
+    assert runner.invoke(main, args).exit_code == 0
+    written = open(out).read()
+    kept = open(manifest).read()
+    # a setting the rows do not record
+    res = runner.invoke(main, args + ["--engine", "exact", "--chi-mps", "8"])
+    assert res.exit_code == 2, res.output
+    assert "engine" in res.output and "chi_mps" in res.output
+    assert open(out).read() == written and open(manifest).read() == kept
+    # the rows record p, d, seed and shots, so these may vary
+    res = runner.invoke(main, ["sample", "--code", "five-qubit", "--p", "0.1",
+                               "--shots", "10", "--seed", "4", "--out", out])
+    assert res.exit_code == 0, res.output
+    assert len(open(out).read().splitlines()) == 3
+    # a CSV without its manifest
+    os.remove(manifest)
+    written = open(out).read()
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert open(out).read() == written and not os.path.exists(manifest)
+
+
 def test_threshold_writes_json(runner, tmp_path):
     out = str(tmp_path / "cross.json")
     res = runner.invoke(main, [

@@ -204,6 +204,52 @@ def test_truncation_and_save_load_round_trip(tmp_path):
         assert v1 == v2  # cache round trip is bit-exact
 
 
+@pytest.mark.parametrize("text", [
+    # the p=1 mechanism merges into the baseline syndrome and logical
+    "error(1.0) D1 L0\nerror(0.1) D0 L0\nerror(0.2) D0 D1\nerror(0.1) D1\n",
+    # only the dropped p=0 mechanism touches D2
+    "error(0.1) D0 L0\nerror(0) D2\nerror(0.2) D0 D1\n",
+])
+def test_save_load_keeps_baseline_and_detector_count(tmp_path, text):
+    model = parse_dem(text)
+    state = compress_dem(model, chi_compress=None)
+    path = str(tmp_path / "cache.npz")
+    state.save(path)
+    back = CompressedCubicNetwork.load(path)
+    assert back.model.n_detectors == model.n_detectors
+    ref_all = dem_all_class_probs(model)
+    for bits in itertools.product((0, 1), repeat=model.n_detectors):
+        m = np.array(bits, np.uint8)
+        v1 = [(v.mantissa, v.log_abs)
+              for v in state.decoding_network(m).class_values()]
+        v2 = [(v.mantissa, v.log_abs)
+              for v in back.decoding_network(m).class_values()]
+        assert v1 == v2, bits
+        vals = [v.value for v in back.decoding_network(m).class_values()]
+        assert np.allclose(vals, ref_all[syndrome_index(bits)],
+                           rtol=1e-10, atol=1e-14), bits
+
+
+def test_load_version_1_cache_without_model_extras(tmp_path):
+    # caches written before the detector count and baseline were stored
+    model = parse_dem("error(0.1) D0 L0\nerror(0.2) D0 D1\n"
+                      "error(0.15) D1 D2\nerror(0.05) D2 L0\n")
+    state = compress_dem(model, chi_compress=None)
+    path = str(tmp_path / "cache.npz")
+    state.save(path)
+    with np.load(path) as z:
+        data = {k: z[k] for k in z.files
+                if k not in ("n_detectors", "baseline_flips", "baseline_logicals")}
+    data["version"] = np.array(1)
+    old = str(tmp_path / "v1.npz")
+    np.savez_compressed(old, **data)
+    back = CompressedCubicNetwork.load(old)
+    for bits in itertools.product((0, 1), repeat=3):
+        m = np.array(bits, np.uint8)
+        assert ([v.value for v in back.decoding_network(m).class_values()]
+                == [v.value for v in state.decoding_network(m).class_values()])
+
+
 def test_truncate_all_caps_every_bond():
     rng = np.random.default_rng(41)
     model = random_dem(rng, 8, 16, with_coords=True)

@@ -1,5 +1,7 @@
-"""Decoding harness: problems, decision rules, sampling, crossing fits."""
+"""Decoding harness: problems, decision rules, sampling, the failure
+counter, crossing fits."""
 import itertools
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -16,9 +18,10 @@ from tndecode.harness import (
     _argmax_class,
     _decide,
     _polyline_crossing,
+    campaign_seed,
+    count_failures,
     decode,
     estimate_crossing,
-    logical_error_rate,
     sample_errors,
 )
 from tndecode.noise import depolarizing
@@ -164,19 +167,31 @@ def test_dem_problem_near_deterministic_mechanism():
     assert res0.chosen_class == 0
 
 
-def test_logical_error_rate_determinism_and_record():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_count_failures_spans_sum_to_one_span(workers):
     code = surface_code_2d(3)
     prob = CssSectorProblem(code, "x", 0.1, "detector")
     cfg = ContractionConfig(engine="mps", chi_mps=64)
-    rec = logical_error_rate(prob, 200, seed=11, config=cfg, d=3)
-    rec2 = logical_error_rate(prob, 200, seed=11, config=cfg, d=3)
-    assert rec.failures == rec2.failures
-    assert rec.shots == 200 and rec.d == 3 and rec.seed == 11
-    assert rec.rate == rec.failures / 200
-    assert rec.stderr == pytest.approx(
-        np.sqrt(rec.rate * (1 - rec.rate) / 200))
-    with pytest.raises(ValueError):
-        logical_error_rate(prob, 0, seed=1, config=cfg)
+    with count_failures(prob, cfg, 11, [(0, 60)]) as counts:
+        [(whole, seconds)] = counts
+    assert whole == sum(_decide(prob, m, cfg) != cls
+                        for cls, m in sample_errors(prob, 60, 11))
+    assert 0 < whole < 60 and seconds >= 0
+    spans = [(0, 25), (25, 10), (35, 25)]
+    with count_failures(prob, cfg, 11, spans, workers) as counts:
+        parts = [fails for fails, _ in counts]
+    assert len(parts) == 3 and sum(parts) == whole
+    assert multiprocessing.active_children() == []
+
+
+def test_count_failures_closes_its_pool_when_the_body_raises():
+    prob = CssSectorProblem(surface_code_2d(3), "x", 0.1, "detector")
+    cfg = ContractionConfig(engine="mps", chi_mps=16)
+    with pytest.raises(KeyError):
+        with count_failures(prob, cfg, 1, [(0, 2), (2, 2)], workers=2) as counts:
+            next(counts)
+            raise KeyError("body")
+    assert multiprocessing.active_children() == []
 
 
 def test_estimate_crossing_synthetic():
@@ -216,12 +231,14 @@ def test_identical_zero_curves_have_no_crossing():
     # decoded correctly at every scale and both curves are all zero
     model = parse_dem("error(0.1) D0 L0\nerror(0.2) D0 D1\nerror(0.1) D1 L0\n")
     ps = [0.5, 1.0, 2.0]
-    curves = {
-        d: [logical_error_rate(DemProblem(model.scaled(p)), 200, 100 * d + i,
-                               EXACT).rate
-            for i, p in enumerate(ps)]
-        for d in (3, 5)
-    }
+
+    def rate(p, seed):
+        with count_failures(DemProblem(model.scaled(p)), EXACT, seed,
+                            [(0, 200)]) as counts:
+            return next(counts)[0] / 200
+
+    curves = {d: [rate(p, campaign_seed(0, d, i)) for i, p in enumerate(ps)]
+              for d in (3, 5)}
     assert curves == {3: [0.0] * 3, 5: [0.0] * 3}
     cross = estimate_crossing(ps, curves, 200)
     assert not cross.found and cross.p_c is None and cross.interval is None

@@ -33,23 +33,23 @@ def test_class_prob_table_matches_subset_enumeration():
                                    dem_all_class_probs(model), atol=1e-14)
 
 
+def run_point_d3(out, *extra):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, os.path.join(TOOLS, "run_thresholds.py"), "point", "3",
+         "--shots", "4", "--chunk", "2", "--out", str(out), *extra],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+
+
 def test_run_thresholds_refuses_resume_when_first_row_does_not_reproduce(tmp_path):
     out = tmp_path / "point_d3.csv"
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-
-    def run():
-        return subprocess.run(
-            [sys.executable, os.path.join(TOOLS, "run_thresholds.py"), "point", "3",
-             "--shots", "4", "--chunk", "2", "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=600,
-        )
-
-    first = run()
+    first = run_point_d3(out)
     assert first.returncode == 0, first.stderr
     written = out.read_bytes()
     lines = written.decode().splitlines()
     assert len(lines) == 1 + 5 * 2  # header, 5 values of p x 2 chunks
-    resumed = run()
+    resumed = run_point_d3(out)
     assert resumed.returncode == 0, resumed.stderr
     assert "first row reproduced" in resumed.stdout
     assert out.read_bytes() == written
@@ -57,7 +57,20 @@ def test_run_thresholds_refuses_resume_when_first_row_does_not_reproduce(tmp_pat
     row[5] = str(int(row[5]) + 1)
     tampered = written.replace(lines[1].encode(), ",".join(row).encode(), 1)
     out.write_bytes(tampered)
-    refused = run()
+    refused = run_point_d3(out)
     assert refused.returncode != 0
     assert ",".join(row) in refused.stderr
     assert out.read_bytes() == tampered
+
+
+def test_run_thresholds_workers_write_the_serial_rows(tmp_path):
+    def rows(path):
+        # every column but the last, "seconds", which is wall time
+        return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+    serial, forked = tmp_path / "serial.csv", tmp_path / "forked.csv"
+    for out, extra in ((serial, ()), (forked, ("--workers", "2"))):
+        run = run_point_d3(out, *extra)
+        assert run.returncode == 0, run.stderr
+    assert len(rows(serial)) == 1 + 5 * 2
+    assert rows(forked) == rows(serial)

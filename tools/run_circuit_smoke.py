@@ -12,10 +12,11 @@ acceptance suite can check monotonicity without re-running the campaign.
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 \\
         python3 tools/run_circuit_smoke.py --workers 2
 
-Each scaling is decoded in chunks of CHUNK shots by run_thresholds'
-chunk counter; --workers N runs them on N forked processes.  Every shot
-draws from its own (seed, shot index) RNG stream, so the failure counts do
-not depend on N; only the wall time in "seconds" changes.
+Each scaling is decoded in chunks of CHUNK shots by
+harness.count_failures; --workers N runs them on N forked processes.
+Every shot draws from its own (seed, shot index) RNG stream, so the
+failure counts do not depend on N; only the wall time in "seconds"
+changes.
 """
 import argparse
 import json
@@ -23,14 +24,11 @@ import os
 import sys
 import time
 
-HERE = os.path.dirname(os.path.abspath(__file__))
-ROOT = os.path.dirname(HERE)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
-sys.path.insert(0, HERE)
 
-import run_thresholds
 from tndecode.dem import compress_dem, parse_dem
-from tndecode.harness import ContractionConfig, DemProblem
+from tndecode.harness import ContractionConfig, DemProblem, count_failures
 
 PARAMS = {
     "dem": "tests/data/rotated_d3.dem",
@@ -49,20 +47,6 @@ PARAMS = {
 CHUNK = 50
 
 
-def count_failures(problem, cfg, workers, label):
-    """Failures over PARAMS["shots"] shots, decoded in chunks on workers."""
-    spans = [(s, min(CHUNK, PARAMS["shots"] - s))
-             for s in range(0, PARAMS["shots"], CHUNK)]
-    failures = 0
-    job = (problem, cfg, PARAMS["seed"])
-    with run_thresholds.chunk_results(job, spans, workers) as results:
-        for (start, n), (fails, _) in zip(spans, results):
-            failures += fails
-            print(f"{label}: {start + n}/{PARAMS['shots']} ({failures} fails)",
-                  flush=True)
-    return failures
-
-
 def run(out_path, workers=1):
     base = parse_dem(open(os.path.join(ROOT, PARAMS["dem"])).read())
     cfg = ContractionConfig(
@@ -75,6 +59,8 @@ def run(out_path, workers=1):
         if old.get("params") == PARAMS:
             rows = old["rows"]
     done = {r["scale"] for r in rows}
+    spans = [(s, min(CHUNK, PARAMS["shots"] - s))
+             for s in range(0, PARAMS["shots"], CHUNK)]
     for scale in PARAMS["scalings"]:
         if scale in done:
             continue
@@ -85,7 +71,12 @@ def run(out_path, workers=1):
             network_builder=lambda mdl, m, ports, s=state: s.decoding_network(m, ports),
         )
         t0 = time.time()
-        failures = count_failures(problem, cfg, workers, f"scale {scale}")
+        failures = 0
+        with count_failures(problem, cfg, PARAMS["seed"], spans, workers) as counts:
+            for (start, n), (fails, _) in zip(spans, counts):
+                failures += fails
+                print(f"scale {scale}: {start + n}/{PARAMS['shots']} "
+                      f"({failures} fails)", flush=True)
         rows.append({"scale": scale, "shots": PARAMS["shots"],
                      "failures": failures, "seconds": time.time() - t0})
         with open(out_path, "w") as f:

@@ -19,12 +19,9 @@ per-chunk wall time.  Run each worker single-threaded
 (OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1) and use at most one per core.
 """
 import argparse
-import contextlib
 import csv
-import multiprocessing
 import os
 import sys
-import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -33,8 +30,8 @@ from tndecode.harness import (
     ContractionConfig,
     CssSectorProblem,
     CubicDepolarizingProblem,
-    _decide,
-    sample_errors,
+    campaign_seed,
+    count_failures,
 )
 
 FAMILIES = {
@@ -57,43 +54,6 @@ def make_problem(family, code, p):
     raise ValueError(family)
 
 
-# (problem, config, seed) being decoded, set by chunk_results; forked
-# workers inherit it
-_JOB = None
-
-
-def run_chunk(span):
-    """Failures and wall time of shots [start, start + n) of _JOB."""
-    start, n = span
-    problem, config, seed = _JOB
-    t0 = time.time()
-    fails = 0
-    for true_cls, m in sample_errors(problem, n, seed, start=start):
-        if _decide(problem, m, config) != true_cls:
-            fails += 1
-    return fails, time.time() - t0
-
-
-@contextlib.contextmanager
-def chunk_results(job, spans, workers):
-    """Yield an iterator of run_chunk results for job over spans, in order.
-
-    job is (problem, config, seed).  With workers > 1 the chunks run on that
-    many forked processes, which inherit job, so it need not pickle (a DEM
-    problem's network builder is a closure); the pool is closed on leaving.
-    """
-    global _JOB
-    _JOB = job
-    try:
-        if workers <= 1:
-            yield map(run_chunk, spans)
-        else:
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                yield pool.imap(run_chunk, spans)
-    finally:
-        _JOB = None
-
-
 def first_row(path):
     """The first data row of a campaign CSV, or None if it has none."""
     with open(path) as f:
@@ -112,8 +72,8 @@ def first_row_fails(row, family, d, ps, job):
     if row[:2] != [family, str(d)] or p not in grid:
         return None
     span = (int(row[3]), int(row[4]))
-    with chunk_results(job(grid.index(p)), [span], 1) as results:
-        return next(results)[0]
+    with count_failures(*job(grid.index(p)), [span]) as counts:
+        return next(counts)[0]
 
 
 def done_shots(path):
@@ -153,7 +113,7 @@ def main():
 
     def job(idx):
         return (make_problem(args.family, code, ps[idx]), config,
-                args.seed_base + 100 * args.d + idx)
+                campaign_seed(args.seed_base, args.d, idx))
 
     row = first_row(args.out)
     if row is not None:
@@ -172,8 +132,8 @@ def main():
                  for start in range(first, args.shots, args.chunk)]
         if not spans:
             continue
-        with chunk_results(job(idx), spans, args.workers) as results:
-            for (start, n), (fails, dt) in zip(spans, results):
+        with count_failures(*job(idx), spans, args.workers) as counts:
+            for (start, n), (fails, dt) in zip(spans, counts):
                 with open(args.out, "a", newline="") as f:
                     csv.writer(f).writerow(
                         [args.family, args.d, p, start, n, fails, f"{dt:.1f}"]
