@@ -85,18 +85,26 @@ def _svd_trunc(M: np.ndarray, chi: int, cutoff: float = DEFAULT_CUTOFF, rng=None
     return u[:, :keep], s[:keep], vt[:keep]
 
 
-def _tsqr_r(M: np.ndarray) -> np.ndarray:
-    """R factor of M = QR, min(m, n) x n, by a tall-skinny QR (Demmel,
-    Grigori, Hoemmen, Langou, arXiv:0808.2664): factor blocks of
+def _tsqr_r(M: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """R factor of diag(w) M = QR, min(m, n) x n, by a tall-skinny QR
+    (Demmel, Grigori, Hoemmen, Langou, arXiv:0808.2664): factor blocks of
     TSQR_BLOCK rows, stack their R factors and repeat until one block is
     left.  Each block fits in cache, where one flat QR of a matrix with
-    millions of rows runs memory-bound; no Q is formed.  R is that of a
-    flat QR up to the signs of its rows, so R^T R = M^T M."""
+    millions of rows runs memory-bound; no Q is formed.  The row weights w
+    scale each block of the first pass as it is factored, so the weighted
+    matrix is never formed whole; the result has the same bits as that of
+    M * w[:, None].  R is that of a flat QR up to the signs of its rows,
+    so R^T R = M^T diag(w)^2 M."""
     block = max(TSQR_BLOCK, 2 * M.shape[1])  # each pass at least halves the rows
+
+    def rows(i, j):
+        return M[i:j] if w is None else M[i:j] * w[i:j, None]
+
     while M.shape[0] > block:
-        M = np.concatenate([_qr(M[i:i + block], mode='raw', check_finite=False)[1]
+        M = np.concatenate([_qr(rows(i, i + block), mode='raw', check_finite=False)[1]
                             for i in range(0, M.shape[0], block)])
-    return _qr(M, mode='raw', check_finite=False)[1]
+        w = None
+    return _qr(rows(0, M.shape[0]), mode='raw', check_finite=False)[1]
 
 
 @dataclass
@@ -218,14 +226,25 @@ def _grid_tensors_2d(net: TensorNetwork):
     return xs, ys, grid
 
 
+def _simplified(net: TensorNetwork):
+    """A simplified copy of net, and its value if simplify absorbed every
+    bond (else None).  What is left then are scalars without coordinates:
+    simplify keeps a negative or zero factor as one such tensor."""
+    work = net.copy()
+    simplify(work)
+    if any(t.ndim for t in work.tensors.values()):
+        return work, None
+    value = math.prod(float(t.densify()) for t in work.tensors.values())
+    return work, ContractionValue.from_float(value, work.log_scale)
+
+
 def mps_contract_2d(net: TensorNetwork, chi: int,
                     cutoff: float = DEFAULT_CUTOFF, seed: int = 709) -> ContractionValue:
     """Contract a closed planar grid network with a boundary MPS of bond
     dimension at most chi, sweeping across columns in x order."""
-    work = net.copy()
-    simplify(work)
-    if not work.tensors:
-        return ContractionValue.from_float(1.0, work.log_scale)
+    work, value = _simplified(net)
+    if value is not None:
+        return value
     rng = np.random.default_rng(seed)
     xs, ys, grid = _grid_tensors_2d(work)
     mps = MpsState.product([1] * len(ys), chi)
@@ -424,18 +443,22 @@ class LatticeState:
         return self.AXIS[step], self.AXIS[tuple(-d for d in step)]
 
     def rescale(self, pos):
-        self.sites[pos], log_factor = pow2_normalize(self.sites[pos])
+        """Bring the site at pos into pow2_normalize's window, in place: only
+        arrays the state has just allocated are passed here."""
+        self.sites[pos], log_factor = pow2_normalize(self.sites[pos], inplace=True)
         self.log_scale += log_factor
 
-    def _site_matrix(self, pos, ax):
+    def _site_matrix(self, pos, ax, lam_at=None):
         """The site at pos as a matrix (other axes) x (bond at ax, gate
         leg), the weights of its other nontrivial bonds as one row scaling,
-        and the dimensions of the other axes."""
+        and the dimensions of the other axes.  lam_at maps an axis to its
+        bond weights; by default they are the state's."""
         A = self.sites[pos]
         rest = [i for i in range(A.ndim) if i not in (ax, self.GATE_AXIS)]
         mat = np.transpose(A, rest + [ax, self.GATE_AXIS]).reshape(
             -1, A.shape[ax] * A.shape[self.GATE_AXIS])
-        lam_at = {nax: self.get_lam(pos, npos) for npos, nax in self.neighbors(pos)}
+        if lam_at is None:
+            lam_at = self._bond_weights(pos)
         w = np.ones(1)
         for i in rest:
             lv = lam_at.get(i)
@@ -444,6 +467,23 @@ class LatticeState:
             elif A.shape[i] > 1:
                 w = np.repeat(w, A.shape[i])
         return mat, w, [A.shape[i] for i in rest]
+
+    def _bond_weights(self, pos):
+        """Bond axis of the site at pos -> weights of that bond."""
+        return {nax: self.get_lam(pos, npos) for npos, nax in self.neighbors(pos)}
+
+    def _factor(self, pos, ax):
+        """One endpoint of the simple update: the R factor of the site at
+        pos as a row-weighted matrix against the bond at ax (see
+        _site_matrix), and project, which maps a projector P of shape
+        (new bond, bond x gate leg) to the new site array, the site matrix
+        times P^T with the new bond at ax."""
+        mat, w, rest = self._site_matrix(pos, ax)
+
+        def project(proj):
+            return np.moveaxis((mat @ proj.T).reshape(rest + [len(proj)]), -1, ax)
+
+        return _tsqr_r(mat, w), project
 
     def simple_update(self, p1, p2, gate, chi, cutoff=DEFAULT_CUTOFF):
         """Contract gate[g1, g2] between the GATE_AXIS legs of two adjacent
@@ -458,14 +498,12 @@ class LatticeState:
         projections A1 G R2^T v / s and A2 G^T R1^T u / s.  These equal
         W^-1 Q1 u and W^-1 Q2 v of the textbook update, so neither R^-1
         nor a division by the outer weights is needed: the only division
-        is by kept singular values.  The stored site arrays are only read;
-        the new sites are fresh arrays."""
+        is by kept singular values.  Each endpoint is read through _factor.
+        The stored site arrays are only read; the new sites are fresh
+        arrays."""
         ax1, ax2 = self.bond_axes(p1, p2)
-        (mat1, w1, rest1), (mat2, w2, rest2) = (
-            self._site_matrix(p1, ax1), self._site_matrix(p2, ax2))
+        (R1, project1), (R2, project2) = self._factor(p1, ax1), self._factor(p2, ax2)
         lam = self.get_lam(p1, p2)
-        R1 = _tsqr_r(mat1 * w1[:, None])
-        R2 = _tsqr_r(mat2 * w2[:, None])
         R1G = ((R1.reshape(len(R1), len(lam), -1) @ gate) * lam[:, None]).reshape(len(R1), -1)
         R2G = ((R2.reshape(len(R2), len(lam), -1) @ gate.T) * lam[:, None]).reshape(len(R2), -1)
         core = R1 @ R2G.T
@@ -477,10 +515,9 @@ class LatticeState:
         f = float(s[0])
         self.log_scale += math.log(f)
         self.lam[self.bond(p1, p2)] = s / f
-        for pos, ax, mat, proj, rest in ((p1, ax1, mat1, (vt / s[:, None]) @ R2G, rest1),
-                                         (p2, ax2, mat2, (u / s).T @ R1G, rest2)):
-            N = mat @ proj.T
-            self.sites[pos] = np.moveaxis(N.reshape(rest + [len(s)]), -1, ax)
+        for pos, project, proj in ((p1, project1, (vt / s[:, None]) @ R2G),
+                                   (p2, project2, (u / s).T @ R1G)):
+            self.sites[pos] = project(proj)
             self.rescale(pos)
 
 
@@ -574,10 +611,9 @@ def sweep_contract_3d(net: TensorNetwork, chi_peps: int, chi_split: int,
     chi_peps.  The remaining 2D network goes to the boundary MPS at
     chi_mps.
     """
-    work = net.copy()
-    simplify(work)
-    if not work.tensors:
-        return ContractionValue.from_float(1.0, work.log_scale)
+    work, value = _simplified(net)
+    if value is not None:
+        return value
     for tid in work.tensors:
         if tid not in work.coords or len(work.coords[tid]) != 3:
             raise ValueError("3D sweep needs 3D coordinates on every tensor")

@@ -56,6 +56,10 @@ _NUMERICAL = (
     np.linalg.LinAlgError,
     OverflowError,
 )
+# what the decoding engines raise once the inputs are validated: a
+# ValueError from inside a contraction is the engine's failure, not an
+# input error
+_ENGINE_FAILURES = _NUMERICAL + (ValueError,)
 
 
 def _load_dem(path, p=None):
@@ -169,14 +173,13 @@ def decode_cmd(code, dem, picture, sector, p, d, chi_peps, chi_split, chi_mps,
                chi_compress, engine, syndrome):
     """Decode one syndrome and print the class values."""
     problem = _make_problem(code, dem, picture, sector, p, d, chi_compress)
-    m = _parse_syndrome(syndrome)
+    # every syndrome the problem samples has the length it decodes
+    m = _parse_syndrome(syndrome, len(problem.sample(np.random.default_rng(0))[1]))
     config = _config(engine, chi_peps, chi_split, chi_mps)
     try:
         res = _decode(problem, m, config)
-    except _NUMERICAL as exc:
+    except _ENGINE_FAILURES as exc:
         _fail_numerical(exc)
-    except ValueError as exc:
-        raise InputError(str(exc))
     for i, v in enumerate(res.class_values):
         click.echo(f"class {i}: {v.value:.12e}")
     click.echo(f"chosen class: {res.chosen_class}")
@@ -188,7 +191,7 @@ def _failures(problem, config, seed, shots):
     try:
         with count_failures(problem, config, seed, [(0, shots)]) as counts:
             [(failures, seconds)] = counts
-    except _NUMERICAL as exc:
+    except _ENGINE_FAILURES as exc:
         _fail_numerical(exc)
     return failures, seconds
 

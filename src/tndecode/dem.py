@@ -237,7 +237,7 @@ def brute_force_class_probs(model: DetectorErrorModel, m) -> np.ndarray:
 # artifact answers every syndrome by fixing open detector legs.
 # ---------------------------------------------------------------------------
 
-from .approx import DEFAULT_CUTOFF, LatticeState
+from .approx import DEFAULT_CUTOFF, LatticeState, _tsqr_r
 from .builders import DecodingNetwork
 from .tensornet import Tensor, TensorNetwork
 
@@ -333,6 +333,7 @@ class CompressedCubicNetwork(LatticeState):
         self.site_of = dict(site_of)  # detector/pseudo index -> site
         self.chi = chi
         self.cutoff = cutoff
+        self._fresh = {}  # site -> (in-bond axis, out-bond axis, flip), see snake
         open_sites = set(site_of.values())
         super().__init__({
             pos: (np.array([1.0, 0.0]).reshape((1,) * 6 + (2,))
@@ -350,7 +351,17 @@ class CompressedCubicNetwork(LatticeState):
     def snake(self, mech: Mechanism) -> None:
         """Absorb one error mechanism along an axis-priority Manhattan path
         through its (lexicographically sorted) touched sites, then truncate
-        the path bonds."""
+        the path bonds in path order.
+
+        The mechanism runs along the path as a wire bit b: every path bond
+        is doubled to (old bond, b), the first site weighs b by (1 - p, p),
+        and a touched site flips its open leg where b = 1 on its first
+        visit.  The first and the last site, sites the path visits more
+        than once and backtrack sites (in-bond = out-bond) are written at
+        once, by _wire.  Every other site is the old site (x) the wire: it
+        is left as it is and marked fresh, and the truncation of its
+        in-bond reads it through _factor without forming the doubled
+        array, which is four times its size."""
         touched = self.touched_sites(mech)
         path = [touched[0]]
         for nxt in touched[1:]:
@@ -359,47 +370,77 @@ class CompressedCubicNetwork(LatticeState):
         marked = set()
         w = (1.0 - mech.p, mech.p)
         for i, pos in enumerate(path):
-            first, last = i == 0, i == len(path) - 1
-            t = 1 if (pos in touched_set and pos not in marked) else 0
+            ax_in = self.AXIS[tuple(np.subtract(path[i - 1], pos))] if i else None
+            ax_out = None
+            if i < len(path) - 1:
+                ax_out = self.AXIS[tuple(np.subtract(path[i + 1], pos))]
+                self.lam[self.bond(pos, path[i + 1])] = np.kron(
+                    self.get_lam(pos, path[i + 1]), np.ones(2))
+            flip = pos in touched_set and pos not in marked
             marked.add(pos)
-            site = self.sites[pos]
-            dd = site.shape[6]
-            win = 1 if first else 2
-            wout = 1 if last else 2
-            m = np.zeros((dd, dd, win, wout))
-            for b in (0, 1):
-                weight = w[b] if first else 1.0
-                bi = 0 if win == 1 else b
-                bo = 0 if wout == 1 else b
-                for din in range(dd):
-                    dout = din ^ (b & t) if dd == 2 else din
-                    m[din, dout, bi, bo] += weight
-            # axes after tensordot: bonds 0..5, open 6, wire-in 7, wire-out 8
-            T = np.tensordot(site, m, axes=[[6], [0]])
-            if not last:
-                ax = self.AXIS[tuple(np.subtract(path[i + 1], pos))]
-                T = np.moveaxis(T, 8, ax + 1)
-                sh = list(T.shape)
-                sh[ax] *= sh[ax + 1]
-                del sh[ax + 1]
-                T = T.reshape(sh)
-                b = self.bond(pos, path[i + 1])
-                self.lam[b] = np.kron(self.get_lam(pos, path[i + 1]), np.ones(wout))
+            if None not in (ax_in, ax_out) and ax_in != ax_out and path.count(pos) == 1:
+                self._fresh[pos] = (ax_in, ax_out, flip)
             else:
-                T = T.reshape(T.shape[:-1])
-            if not first:
-                ax = self.AXIS[tuple(np.subtract(path[i - 1], pos))]
-                T = np.moveaxis(T, 7, ax + 1)
-                sh = list(T.shape)
-                sh[ax] *= sh[ax + 1]
-                del sh[ax + 1]
-                T = T.reshape(sh)
-            else:
-                T = T.reshape(T.shape[:7])
-            self.sites[pos] = T
-            self.rescale(pos)
+                self.sites[pos] = self._wire(self.sites[pos], ax_in, ax_out, flip,
+                                             w if i == 0 else (1.0, 1.0))
+                self.rescale(pos)
         for i in range(len(path) - 1):
             self.truncate_bond(path[i], path[i + 1])
+
+    @staticmethod
+    def _wire(S, ax_in, ax_out, flip, w):
+        """The site S with the wire bit b absorbed: w[b] times S, its open
+        leg flipped where b = 1 if flip, at index (old, b) of the in- and
+        out-bond axes (None at a path end); a backtrack's one axis takes
+        (old, b, b).  Two strided writes per b, straight from S."""
+        split = []  # shape of a view with each wire bit on an axis of its own
+        for i, n in enumerate(S.shape):
+            split += [n] + [2] * ((i == ax_out) + (i == ax_in))
+        shape = [n * 2 ** ((i == ax_out) + (i == ax_in)) for i, n in enumerate(S.shape)]
+        # only a site with both wire ends has slots (b_in != b_out) left empty
+        T = (np.empty if None in (ax_in, ax_out) else np.zeros)(shape)
+        V = T.reshape(split)
+        for b in (0, 1):
+            at = tuple(x for i in range(6)
+                       for x in [slice(None)] + [b] * ((i == ax_out) + (i == ax_in)))
+            for d in range(S.shape[6]):
+                dst = V[at + (d ^ (b & flip),)]
+                if b and ax_in is None and ax_out is None:  # one site: b shares a slot
+                    dst += w[b] * S[..., d]
+                else:
+                    np.multiply(S[..., d], w[b], out=dst)
+        return T
+
+    def _factor(self, pos, ax):
+        """The simple-update endpoint of a fresh site (see snake) against
+        its in-bond, the first bond of it that is truncated.  Its doubled
+        matrix is block diagonal in the wire bit b, and the block of b = 1
+        only permutes the rows of that of b = 0 (the open-leg flip), so
+        both have the Gram matrix of the old site S, read with the old
+        weights of its out-bond: R = kron(R_S, I_2).  The new array is
+        S P_b^T for each b, P_b the projector's columns of bit b, written
+        into the bit-b half of the doubled out-bond and flipped on the open
+        leg where the site is touched.  Any other site takes the default."""
+        fresh = self._fresh.pop(pos, None)
+        if fresh is None:
+            return super()._factor(pos, ax)
+        ax_in, ax_out, flip = fresh
+        assert ax == ax_in and self.sites[pos].shape[self.GATE_AXIS] == 1
+        lam_at = self._bond_weights(pos)
+        lam_at[ax_out] = lam_at[ax_out][::2]
+        mat, w, dims = self._site_matrix(pos, ax, lam_at)
+        j = ax_out - (ax_out > ax)  # place of the out-bond among the other axes
+
+        def project(proj):
+            k = len(proj)
+            out = np.empty(dims[:j] + [2 * dims[j]] + dims[j + 1:] + [k])
+            halves = out.reshape(dims[:j + 1] + [2] + dims[j + 1:] + [k])
+            for b in (0, 1):
+                N = (mat @ proj[:, b::2].T).reshape(dims + [k])
+                halves[(slice(None),) * (j + 1) + (b,)] = N[..., ::-1, :] if b and flip else N
+            return np.moveaxis(out, -1, ax)
+
+        return np.kron(_tsqr_r(mat, w), np.eye(2)), project
 
     # -- simple-update truncation -----------------------------------------
     def truncate_bond(self, p1, p2, chi=None) -> None:

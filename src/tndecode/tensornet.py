@@ -19,20 +19,25 @@ class ContractionCapError(RuntimeError):
     """An intermediate tensor would exceed the densification cap."""
 
 
-def pow2_normalize(a: np.ndarray) -> tuple[np.ndarray, float]:
+def pow2_normalize(a: np.ndarray, inplace: bool = False) -> tuple[np.ndarray, float]:
     """Scale a by a power of two so that max |a| lies in [1, 2).
 
     Returns the scaled array and the log of the factor taken out.  The
-    scaling is exact, so only the bookkeeping in log space can round.
+    scaling is exact, so only the bookkeeping in log space can round; in
+    place (for an array the caller just allocated) it gives the same bits.
     Raises FloatingPointError when a holds NaN or infinity.
     """
-    m = float(np.max(np.abs(a))) if a.size else 0.0
+    m = float(max(a.max(), -a.min())) if a.size else 0.0
     if not math.isfinite(m):
         raise FloatingPointError(f"non-finite entry {m} in rescaled array")
     if m == 0.0 or 1.0 <= m < 2.0:
         return a, 0.0
     e = math.floor(math.log2(m))
-    return a / 2.0 ** e, e * math.log(2.0)
+    if inplace:
+        a /= 2.0 ** e
+    else:
+        a = a / 2.0 ** e
+    return a, e * math.log(2.0)
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,26 @@ def test_boundary_mps_rejects_bad_networks():
         mps_contract_2d(net2, chi=8)  # no coordinates
 
 
+@pytest.mark.parametrize("engine", ["mps", "sweep"])
+@pytest.mark.parametrize("a, b, want", [
+    pytest.param([1.0, 0.5], [-0.5, -0.5], -0.75, id="negative"),
+    pytest.param([1.0, 1.0], [1.0, -1.0], 0.0, id="zero"),
+])
+def test_engines_value_a_network_simplify_absorbs(engine, a, b, want):
+    # simplify absorbs both vectors; a value <= 0 is left as one scalar
+    # tensor without coordinates, which neither engine can lay out
+    dim = 2 if engine == "mps" else 3
+    net = TensorNetwork()
+    net.add(Tensor.dense(np.array(a), ["x"]), coord=(0,) * dim)
+    net.add(Tensor.dense(np.array(b), ["x"]), coord=(1,) + (0,) * (dim - 1))
+    net.log_scale = 0.5
+    if engine == "mps":
+        got = mps_contract_2d(net, chi=4)
+    else:
+        got = sweep_contract_3d(net, 4, 4, 4)
+    assert got.value == pytest.approx(want * math.exp(0.5), rel=1e-14, abs=0.0)
+
+
 def test_mps_close_zero_and_large_products():
     row = np.ones((1, 2, 1))
     assert MpsState([row, np.array([1.0, -1.0]).reshape(2, 1, 1)], 4).close().mantissa == 0.0
@@ -371,6 +391,20 @@ def test_tsqr_r_terminates_when_columns_exceed_half_a_block(monkeypatch):
     R = approx._tsqr_r(M)
     assert R.shape == (6, 6)
     assert np.linalg.norm(R.T @ R - M.T @ M) <= 1e-12 * np.linalg.norm(M.T @ M)
+
+
+@pytest.mark.parametrize("m, block", [
+    (1023, None), (1024, None), (1025, None), (2048, None), (2049, None),
+    (5 * 1024 + 37, None), (40000, None), (500, 8),  # 500 rows, 12-row blocks
+])
+def test_tsqr_r_weights_rows_bit_for_bit(monkeypatch, m, block):
+    # weighting each block as it is factored changes no bit of R
+    if block is not None:
+        monkeypatch.setattr(approx, "TSQR_BLOCK", block)
+    rng = np.random.default_rng(m)
+    M = rng.standard_normal((m, 6 if block else 24))
+    w = rng.permutation(np.logspace(-12, 0, m))
+    assert np.array_equal(approx._tsqr_r(M, w), approx._tsqr_r(M * w[:, None]))
 
 
 def _pair_value(state, p1, p2, gate=None):

@@ -61,6 +61,9 @@ def test_input_errors_exit_2(runner, tmp_path):
         ["decode", "--code", "five-qubit", "--syndrome", "0000"],  # no p
         ["decode", "--code", "five-qubit", "--p", "0.1",
          "--syndrome", "01a0"],  # bad syndrome characters
+        ["decode", "--code", "five-qubit", "--p", "0.1",
+         "--syndrome", "000"],  # syndrome too short
+        ["decode", "--dem", toy, "--syndrome", "01"],  # one detector
         ["decode", "--code", "five-qubit", "--p", "0.1"],  # no syndrome
         ["decode", "--code", "surface2d", "--p", "0.1",
          "--syndrome", "000000"],  # sector required in 2D
@@ -212,3 +215,49 @@ def test_numerical_failure_exits_3(runner):
     ])
     assert res.exit_code == 3, res.output
     assert "numerical failure" in res.output
+
+
+def test_engine_value_errors_exit_3(runner, tmp_path, monkeypatch):
+    # a ValueError from inside a contraction is a numerical failure in
+    # every command, not an input error
+    from tndecode import harness
+
+    def broken(net, chi):
+        raise ValueError("engine failure")
+
+    monkeypatch.setattr(harness, "mps_contract_2d", broken)
+    code = ["--code", "surface2d", "--sector", "x", "--engine", "mps"]
+    cases = [
+        ["decode", *code, "--p", "0.1", "--syndrome", "0" * 6],
+        ["sample", *code, "--p", "0.1", "--shots", "3",
+         "--out", str(tmp_path / "x.csv")],
+        ["threshold", *code, "--p", "0.08", "--p", "0.1", "--p", "0.12",
+         "--d", "3", "--d", "5", "--shots", "3", "--out", str(tmp_path / "x.json")],
+    ]
+    for args in cases:
+        res = runner.invoke(main, args)
+        assert res.exit_code == 3, (args, res.output)
+        assert "numerical failure: engine failure" in res.output
+
+
+def test_toy_dem_whose_network_simplify_absorbs(runner, tmp_path):
+    # at --p 2 the compressed network of some sign settings simplifies to
+    # a negative scalar without coordinates
+    from tndecode.dem import brute_force_class_probs, parse_dem
+
+    text = ("error(0.1) D0 L0\nerror(0.2) D0 D1\nerror(0.1) D1 L0\n"
+            "error(0.05) D1\n")
+    dem = str(tmp_path / "toy.dem")
+    with open(dem, "w") as f:
+        f.write(text)
+    opts = ["--dem", dem, "--p", "2", "--chi-compress", "4"]
+    res = runner.invoke(main, ["sample", *opts, "--shots", "5",
+                               "--out", str(tmp_path / "toy.csv")])
+    assert res.exit_code == 0, res.output
+    model = parse_dem(text).scaled(2)
+    for syndrome in ("00", "01", "10", "11"):
+        res = runner.invoke(main, ["decode", *opts, "--syndrome", syndrome])
+        assert res.exit_code == 0, (syndrome, res.output)
+        want = brute_force_class_probs(model, [int(c) for c in syndrome])
+        assert np.allclose(parse_class_values(res.output), want,
+                           rtol=1e-10, atol=1e-14), syndrome

@@ -277,3 +277,126 @@ def test_rotated_memory_fixture_counts():
     # every mechanism probability is in (0, 1) and touches a detector
     for mech in model.mechanisms:
         assert 0.0 < mech.p < 1.0 and mech.detectors
+
+
+# -- the compressor's simple update -------------------------------------------
+
+STEP = {ax: step for step, ax in CompressedCubicNetwork.AXIS.items()}
+
+
+def _wire_by_tensordot(S, ax_in, ax_out, flip, w):
+    """A site with the wire bit absorbed, built as one tensordot with the
+    wire tensor and two axis merges: the reference for _wire."""
+    dd = S.shape[6]
+    m = np.zeros((dd, dd, 1 if ax_in is None else 2, 1 if ax_out is None else 2))
+    for b in (0, 1):
+        for d in range(dd):
+            m[d, d ^ (b & flip), b * (ax_in is not None), b * (ax_out is not None)] += w[b]
+    T = np.tensordot(S, m, axes=[[6], [0]])  # bonds, open leg, wire in, wire out
+    for wire, ax in ((8, ax_out), (7, ax_in)):
+        if ax is None:
+            T = T.reshape(T.shape[:wire] + T.shape[wire + 1:])
+        else:
+            T = np.moveaxis(T, wire, ax + 1)
+            T = T.reshape(T.shape[:ax] + (2 * T.shape[ax],) + T.shape[ax + 2:])
+    return T
+
+
+@pytest.mark.parametrize("ax_in, ax_out, w", [
+    (None, 0, (0.9, 0.1)),  # first site
+    (3, None, (1.0, 1.0)),  # last site
+    (None, None, (0.7, 0.3)),  # a one-site path
+    (1, 4, (1.0, 1.0)),  # a revisited interior site
+    (5, 5, (1.0, 1.0)),  # a backtrack: in-bond = out-bond
+])
+@pytest.mark.parametrize("dd, flip", [(2, True), (2, False), (1, False)],
+                         ids=["touched", "untouched", "filler"])
+def test_wire_matches_the_tensordot_construction(ax_in, ax_out, w, dd, flip):
+    S = np.random.default_rng(61).standard_normal((2, 3, 1, 2, 3, 2, dd))
+    held = S.copy()
+    got = CompressedCubicNetwork._wire(S, ax_in, ax_out, flip, w)
+    want = _wire_by_tensordot(S, ax_in, ax_out, flip, w)
+    if ax_in is None and ax_out is None:  # both bits summed into one slot
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
+    else:
+        assert np.array_equal(got, want)
+    assert np.array_equal(S, held)
+
+
+def _bond_sign(A, B, ax):
+    """Per index of axis ax, the sign aligning B with A."""
+    k = A.shape[ax]
+    dots = (np.moveaxis(A, ax, 0).reshape(k, -1)
+            * np.moveaxis(B, ax, 0).reshape(k, -1)).sum(axis=1)
+    return np.where(dots < 0, -1.0, 1.0)
+
+
+def _along(v, ax, ndim):
+    return v.reshape([-1 if i == ax else 1 for i in range(ndim)])
+
+
+@pytest.mark.parametrize("ax_in, ax_out", [(1, 0), (0, 3), (5, 2), (2, 4), (3, 5)])
+@pytest.mark.parametrize("dd, flip", [(2, True), (2, False), (1, False)],
+                         ids=["touched", "untouched", "filler"])
+@pytest.mark.parametrize("chi", [None, 3])
+def test_fresh_site_truncation_matches_the_doubled_site(ax_in, ax_out, dd, flip, chi):
+    # p1 is an interior path site that snake left fresh: the truncation of
+    # its in-bond (p0, p1) must equal the default update of p1 written out
+    # doubled, up to the sign of each new bond index (the SVD's gauge)
+    rng = np.random.default_rng(62 + 7 * ax_in + ax_out + dd + 2 * bool(chi))
+    p1 = (1, 1, 1)
+    p0, p2 = (tuple(np.add(p1, STEP[ax])) for ax in (ax_in, ax_out))
+    back = ax_in ^ 1  # the axis of p0 towards p1
+    dims1 = rng.integers(1, 4, 6)
+    dims1[ax_in], dims1[ax_out] = 3, 2
+    dims0 = rng.integers(1, 4, 6)
+    dims0[back] = 2 * dims1[ax_in]
+    S = rng.standard_normal(tuple(dims1) + (dd,))
+    A0 = rng.standard_normal(tuple(dims0) + (2,))
+    spread = lambda n: rng.permutation(np.logspace(-12, 0, n))  # noqa: E731
+    lam = {}
+    for pos, dims, skip in ((p1, dims1, (ax_in, ax_out)), (p0, dims0, (back,))):
+        for ax, n in enumerate(dims):
+            if ax not in skip and n > 1:
+                lam[CompressedCubicNetwork.bond(pos, tuple(np.add(pos, STEP[ax])))] = spread(n)
+    bond = CompressedCubicNetwork.bond(p0, p1)
+    lam[bond] = np.kron(rng.uniform(0.1, 1.0, dims1[ax_in]), np.ones(2))
+    lam[CompressedCubicNetwork.bond(p1, p2)] = np.kron(spread(dims1[ax_out]), np.ones(2))
+    held = [(a, a.tobytes()) for a in [S, A0, *lam.values()]]
+    states = []
+    for fresh in (True, False):
+        st = CompressedCubicNetwork(DetectorErrorModel(), (3, 3, 3), {}, chi, 1e-14)
+        st.lam.update(lam)
+        st.sites[p0] = A0
+        if fresh:
+            st.sites[p1] = S
+            st._fresh[p1] = (ax_in, ax_out, flip)
+        else:
+            st.sites[p1] = _wire_by_tensordot(S, ax_in, ax_out, flip, (1.0, 1.0))
+        st.truncate_bond(p0, p1)
+        states.append(st)
+    got, want = states
+    assert not got._fresh
+    assert all(a.tobytes() == raw for a, raw in held)
+    assert len(got.lam[bond]) == len(want.lam[bond]) <= (chi or 6)
+    np.testing.assert_allclose(got.lam[bond], want.lam[bond], rtol=1e-12, atol=0)
+    assert abs(got.log_scale - want.log_scale) <= 1e-12 * max(1.0, abs(want.log_scale))
+    sign = _bond_sign(got.sites[p0], want.sites[p0], back)
+    for pos, ax in ((p0, back), (p1, ax_in)):
+        g, w = got.sites[pos], want.sites[pos] * _along(sign, ax, 7)
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+def test_snake_keeps_held_arrays_and_leaves_no_fresh_site():
+    rng = np.random.default_rng(63)
+    model = random_dem(rng, 8, 16, with_coords=True)
+    merged = merge_mechanisms(model)
+    dims, site_of = layout_detectors(merged, None, extra=1)
+    state = CompressedCubicNetwork(merged, dims, site_of, 4, 1e-14)
+    for mech in merged.mechanisms[:-1]:
+        state.snake(mech)
+    held = [(a, a.tobytes()) for a in [*state.sites.values(), *state.lam.values()]]
+    state.snake(merged.mechanisms[-1])
+    assert all(a.tobytes() == raw for a, raw in held)
+    assert not state._fresh

@@ -51,6 +51,24 @@ def test_pow2_normalize_window_and_exactness():
             pow2_normalize(np.array([1.0, x]))
 
 
+def test_pow2_normalize_in_place_is_exact():
+    rng = np.random.default_rng(4)
+    for scale in (1e-300, 0.3, 1.0, 2.0, 7.5, 1e300):
+        a = rng.standard_normal((3, 4)) * scale
+        a[1, 2] = -4.0 * scale  # the largest magnitude is negative
+        want, want_log = pow2_normalize(a)
+        b = a.copy()
+        got, got_log = pow2_normalize(b, inplace=True)
+        assert got is b and got_log == want_log
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+        assert 1.0 <= np.max(np.abs(got)) < 2.0
+    for x in (math.nan, math.inf, -math.inf):
+        c = np.array([1.0, x, -3.0])
+        with pytest.raises(FloatingPointError):
+            pow2_normalize(c, inplace=True)
+        assert c[0] == 1.0 and c[2] == -3.0  # untouched when it raises
+
+
 def test_densify_structured_exhaustive():
     # literal definitions checked on every index for up to 6 legs
     for k in range(1, 7):
