@@ -9,9 +9,11 @@ gates are applied to a 2D carrier state with simple-update truncation
 (per-bond Vidal-gauge lambda vectors), and the final 2D network is handed
 to the boundary MPS.
 
-Singular values below a relative cutoff (default 1e-14) are always
-discarded, so exact rank structure is preserved without noise
-amplification; the chi arguments cap what survives the cutoff.
+Singular values below the relative cutoff CUTOFF are always discarded,
+so exact rank structure is preserved without noise amplification; the chi
+arguments cap what survives the cutoff.  The randomized SVD of the
+boundary MPS draws its sketches from a generator seeded with SKETCH_SEED,
+so every contraction is deterministic.
 """
 from __future__ import annotations
 
@@ -24,7 +26,8 @@ from scipy.linalg import qr as _qr
 from .builders import simplify
 from .tensornet import ContractionValue, Tensor, TensorNetwork, pow2_normalize
 
-DEFAULT_CUTOFF = 1e-14
+CUTOFF = 1e-14  # relative singular-value cutoff of every truncation
+SKETCH_SEED = 709  # seed of the boundary MPS's randomized range finder
 # randomized range finder of _range_svd
 OVERSAMPLE = 16  # sketch columns beyond the kept rank
 POWER_STEPS = 4  # power steps before giving up on the sketch
@@ -62,9 +65,9 @@ def _range_svd(M: np.ndarray, k: int, rng):
     return None
 
 
-def _svd_trunc(M: np.ndarray, chi: int, cutoff: float = DEFAULT_CUTOFF, rng=None):
+def _svd_trunc(M: np.ndarray, chi: int, rng=None):
     """Truncated SVD: keep at most chi singular values above the relative
-    cutoff.
+    CUTOFF.
 
     Given an rng, a matrix whose smaller side holds at least four sketch
     widths (k + OVERSAMPLE, k = min(chi, m, n)) goes through the randomized
@@ -81,7 +84,7 @@ def _svd_trunc(M: np.ndarray, chi: int, cutoff: float = DEFAULT_CUTOFF, rng=None
     u, s, vt = usv if usv is not None else np.linalg.svd(M, full_matrices=False)
     if s[0] == 0.0:
         return u[:, :1] * 0.0, s[:1], vt[:1] * 0.0
-    keep = max(1, min(k, int(np.count_nonzero(s > cutoff * s[0]))))
+    keep = max(1, min(k, int(np.count_nonzero(s > CUTOFF * s[0]))))
     return u[:, :keep], s[:keep], vt[:keep]
 
 
@@ -122,7 +125,7 @@ class MpsState:
     def bond_dims(self) -> list:
         return [s.shape[1] for s in self.sites[:-1]]
 
-    def apply_mpo_zip(self, mpo: list, cutoff: float = DEFAULT_CUTOFF, rng=None) -> None:
+    def apply_mpo_zip(self, mpo: list, rng=None) -> None:
         """Apply an MPO column (site legs (down, up, p_in, p_out)) with
         zip-up truncation, sweeping from site 0 upward."""
         n = len(self.sites)
@@ -145,7 +148,7 @@ class MpsState:
                 carry = None
             else:
                 mat = theta.transpose(0, 3, 1, 2).reshape(K * q, r * u)
-                uu, ss, vvt = _svd_trunc(mat, self.max_chi, cutoff, rng)
+                uu, ss, vvt = _svd_trunc(mat, self.max_chi, rng)
                 keep = len(ss)
                 new_sites.append(uu.reshape(K, q, keep).transpose(0, 2, 1))
                 cm, log_factor = pow2_normalize(ss[:, None] * vvt)
@@ -238,14 +241,13 @@ def _simplified(net: TensorNetwork):
     return work, ContractionValue.from_float(value, work.log_scale)
 
 
-def mps_contract_2d(net: TensorNetwork, chi: int,
-                    cutoff: float = DEFAULT_CUTOFF, seed: int = 709) -> ContractionValue:
+def mps_contract_2d(net: TensorNetwork, chi: int) -> ContractionValue:
     """Contract a closed planar grid network with a boundary MPS of bond
     dimension at most chi, sweeping across columns in x order."""
     work, value = _simplified(net)
     if value is not None:
         return value
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SKETCH_SEED)
     xs, ys, grid = _grid_tensors_2d(work)
     mps = MpsState.product([1] * len(ys), chi)
     mps.log_scale = work.log_scale
@@ -261,7 +263,7 @@ def mps_contract_2d(net: TensorNetwork, chi: int,
                 if mps.sites[i].shape[2] != 1:
                     raise ValueError("bond crosses an empty grid position")
                 mpo.append(np.ones((1, 1, 1, 1)))
-        mps.apply_mpo_zip(mpo, cutoff, rng)
+        mps.apply_mpo_zip(mpo, rng)
     return mps.close()
 
 
@@ -283,7 +285,7 @@ class GateSequence:
     gates: list
 
 
-def _split_site(t: Tensor, down, up, inplane, chi_split, cutoff):
+def _split_site(t: Tensor, down, up, inplane, chi_split):
     """Residual array (down, up, g...) plus per-leg split factors.
 
     Structured (equality/parity) nodes split exactly: the factor is the
@@ -303,7 +305,7 @@ def _split_site(t: Tensor, down, up, inplane, chi_split, cutoff):
     for ax, leg in enumerate(inplane):
         moved = np.moveaxis(arr, 2 + ax, 0)
         mshape = moved.shape
-        u_, s_, vt_ = _svd_trunc(moved.reshape(mshape[0], -1), chi_split, cutoff)
+        u_, s_, vt_ = _svd_trunc(moved.reshape(mshape[0], -1), chi_split)
         factors[leg] = u_ * s_
         arr = np.moveaxis(vt_.reshape((len(s_),) + mshape[1:]), 0, 2 + ax)
     return arr, factors
@@ -315,7 +317,7 @@ def _build_gate(c1, e_mat, c2, bond_dim):
     return left if c2 is None else left @ c2
 
 
-def _plan_plane(net, tids, partners, a, chi_split, cutoff, reverse=False):
+def _plan_plane(net, tids, partners, a, chi_split, reverse=False):
     """Decompose one plane into a GateSequence.
 
     Vertical legs are bonds leaving the plane (the incoming sweep side is
@@ -387,7 +389,7 @@ def _plan_plane(net, tids, partners, a, chi_split, cutoff, reverse=False):
     for pos in sorted(site_of):
         tid = site_of[pos]
         down, up, inplane = site_legs[tid]
-        arr, fac = _split_site(net.tensors[tid], down, up, inplane, chi_split, cutoff)
+        arr, fac = _split_site(net.tensors[tid], down, up, inplane, chi_split)
         gkeys = []
         for leg in inplane:
             for key, t1, l1, t2, l2, _e in raw_gates:
@@ -407,7 +409,8 @@ def _plan_plane(net, tids, partners, a, chi_split, cutoff, reverse=False):
 class LatticeState:
     """Site arrays on an integer lattice joined by Vidal-gauge bonds.
 
-    Axis AXIS[step] of the array at pos is the bond to pos + step; the
+    Axis AXIS[step] of the array at pos is the bond to pos + step, and
+    the last axis is the site's open leg, which to_network closes; the
     simple update consumes a gate leg at GATE_AXIS.  lam maps a lattice
     bond (ordered pair of positions) to a positive weight vector
     normalized to unit max; absent entries mean a trivial bond.  The
@@ -485,7 +488,7 @@ class LatticeState:
 
         return _tsqr_r(mat, w), project
 
-    def simple_update(self, p1, p2, gate, chi, cutoff=DEFAULT_CUTOFF):
+    def simple_update(self, p1, p2, gate, chi):
         """Contract gate[g1, g2] between the GATE_AXIS legs of two adjacent
         sites into their shared bond, truncated to chi singular values
         (Jiang, Weng, Xiang, arXiv:0806.3719), without forming Q.
@@ -507,7 +510,7 @@ class LatticeState:
         R1G = ((R1.reshape(len(R1), len(lam), -1) @ gate) * lam[:, None]).reshape(len(R1), -1)
         R2G = ((R2.reshape(len(R2), len(lam), -1) @ gate.T) * lam[:, None]).reshape(len(R2), -1)
         core = R1 @ R2G.T
-        u, s, vt = _svd_trunc(core, chi, cutoff)
+        u, s, vt = _svd_trunc(core, chi)
         if s[0] == 0.0:
             raise FloatingPointError("bond collapsed to zero during update")
         self.truncation_cut += max(
@@ -519,6 +522,39 @@ class LatticeState:
                                    (p2, project2, (u / s).T @ R1G)):
             self.sites[pos] = project(proj)
             self.rescale(pos)
+
+    def to_network(self, ends=None) -> TensorNetwork:
+        """Readout as a closed network of the state's value.  Each site, in
+        position order, has its trailing leg contracted with ends[pos]
+        (without an entry that leg must have size 1), takes sqrt(lam) on
+        every bond that holds weights or has size above 1, and becomes one
+        dense tensor at pos; a site with no such bond is a scalar."""
+        ends = ends or {}
+        net = TensorNetwork()
+        net.log_scale = self.log_scale
+        for pos in sorted(self.sites):
+            A = self.sites[pos]
+            if pos in ends:
+                A = np.tensordot(A, ends[pos], axes=([-1], [0]))
+            elif A.shape[-1] != 1:
+                raise ValueError(f"site {pos} has an open leg and no end in readout")
+            else:
+                A = A[..., 0]
+            legs, keep_axes = [], []
+            for npos, ax in sorted(self.neighbors(pos), key=lambda t: t[1]):
+                bond = self.bond(pos, npos)
+                if A.shape[ax] == 1 and bond not in self.lam:
+                    continue
+                if npos not in self.sites:
+                    raise ValueError("dangling lattice bond in readout")
+                shape = [1] * A.ndim
+                shape[ax] = A.shape[ax]
+                A = A * np.sqrt(self.get_lam(pos, npos)).reshape(shape)
+                legs.append(f"b{bond}")
+                keep_axes.append(ax)
+            net.add(Tensor.dense(A.reshape([A.shape[ax] for ax in keep_axes]), legs),
+                    coord=pos)
+        return net
 
 
 class SweepState(LatticeState):
@@ -535,7 +571,7 @@ class SweepState(LatticeState):
     def __init__(self, positions):
         super().__init__({pos: np.ones((1, 1, 1, 1, 1)) for pos in positions})
 
-    def apply_bond_gate(self, p1, p2, gate, chi, cutoff=DEFAULT_CUTOFF):
+    def apply_bond_gate(self, p1, p2, gate, chi):
         """Contract a two-site gate whose legs sit at axis 5 of both site
         arrays, merging it into the shared lattice bond (capped at chi).
 
@@ -548,10 +584,10 @@ class SweepState(LatticeState):
         gu, gs, gvt = np.linalg.svd(gate, full_matrices=False)
         if gs[0] == 0.0:
             raise FloatingPointError("zero-valued gate collapses the network")
-        gkeep = gs > cutoff * gs[0]
+        gkeep = gs > CUTOFF * gs[0]
         gu, gs, gvt = gu[:, gkeep], gs[gkeep], gvt[gkeep]
         if len(lam_b) * len(gs) > chi:
-            self.simple_update(p1, p2, gate, chi, cutoff)
+            self.simple_update(p1, p2, gate, chi)
             return
         B1 = np.tensordot(self.sites[p1], gu, axes=([5], [0]))
         B2 = np.tensordot(self.sites[p2], gvt.T, axes=([5], [0]))
@@ -568,38 +604,9 @@ class SweepState(LatticeState):
         self.rescale(p1)
         self.rescale(p2)
 
-    def to_network(self) -> TensorNetwork:
-        """Readout: absorb sqrt(lambda) symmetrically into both endpoints
-        of every bond and emit a closed 2D grid network."""
-        net = TensorNetwork()
-        net.log_scale = self.log_scale
-        for pos in sorted(self.sites):
-            A = self.sites[pos]
-            if A.shape[4] != 1:
-                raise ValueError("state still has an open vertical leg")
-            A = A[..., 0]
-            legs = []
-            keep_axes = []
-            for npos, ax in sorted(self.neighbors(pos), key=lambda t: t[1]):
-                if npos in self.sites and (
-                    A.shape[ax] > 1 or self.bond(pos, npos) in self.lam
-                ):
-                    lv = self.get_lam(pos, npos)
-                    shape = [1] * A.ndim
-                    shape[ax] = A.shape[ax]
-                    A = A * np.sqrt(lv).reshape(shape)
-                    legs.append(f"b{self.bond(pos, npos)}")
-                    keep_axes.append(ax)
-                elif A.shape[ax] != 1:
-                    raise ValueError("dangling lattice bond in readout")
-            A = A.reshape([A.shape[ax] for ax in keep_axes])
-            net.add(Tensor.dense(A, legs), coord=pos)
-        return net
-
 
 def sweep_contract_3d(net: TensorNetwork, chi_peps: int, chi_split: int,
-                      chi_mps: int, cutoff: float = DEFAULT_CUTOFF,
-                      reverse: bool = False, seed: int = 709) -> ContractionValue:
+                      chi_mps: int, reverse: bool = False) -> ContractionValue:
     """Contract a layered 3D network by a plane-by-plane simple-update
     sweep along the first coordinate (top-down when reverse is set).
 
@@ -652,7 +659,7 @@ def sweep_contract_3d(net: TensorNetwork, chi_peps: int, chi_split: int,
                 arr = np.transpose(t.densify(), [t.legs.index(l) for l in order])
                 site_planes[-1][2][tuple(work.coords[tid])[1:]] = arr
         else:
-            gs = _plan_plane(work, tids, partners, a, chi_split, cutoff, reverse)
+            gs = _plan_plane(work, tids, partners, a, chi_split, reverse)
             site_planes.append([a, gs, {}])
 
     positions = set()
@@ -705,10 +712,10 @@ def sweep_contract_3d(net: TensorNetwork, chi_peps: int, chi_split: int,
                     state.sites[pos] = np.moveaxis(state.sites[pos], 5 + idx, 5)
                     pending[pos].remove(key)
                     pending[pos].insert(0, key)
-            state.apply_bond_gate(p1, p2, mat, chi_peps, cutoff)
+            state.apply_bond_gate(p1, p2, mat, chi_peps)
             pending[p1].remove(key)
             pending[p2].remove(key)
         carry = dict(above)
     if carry:
         raise ValueError("bond plane beyond the last site plane")
-    return mps_contract_2d(state.to_network(), chi_mps, cutoff, seed=seed)
+    return mps_contract_2d(state.to_network(), chi_mps)

@@ -97,15 +97,14 @@ def wht_class_values(vals: list[ContractionValue]) -> list[ContractionValue]:
 class DecodingNetwork:
     """A family of closed networks whose contractions yield class values.
 
-    variants holds one network generator per required contraction.  When
-    transform == "wht" the contraction results are per-sign-setting values
-    and class values are recovered by wht_class_values; with "direct" the
+    variants holds one network generator per required contraction.  With
+    n_ports > 0 the contraction results are per-sign-setting values and
+    class values are recovered by wht_class_values; without ports the
     results are the class values themselves.
     """
 
     picture: str
     n_ports: int
-    transform: str  # "wht" | "direct"
     _variants: list
     class_xor: int = 0  # XOR offset applied to class indices (DEM baselines)
 
@@ -119,7 +118,7 @@ class DecodingNetwork:
 
     def to_class_values(self, vals: list[ContractionValue]) -> list[ContractionValue]:
         """Class values from the contraction values of networks(), in order."""
-        if self.transform == "wht":
+        if self.n_ports:
             vals = wht_class_values(vals)
         if self.class_xor:
             vals = [vals[i ^ self.class_xor] for i in range(len(vals))]
@@ -204,7 +203,7 @@ def build_detector_network(
     base, eq_ids = build()
     if fixed:
         variants = [lambda: _batch_variant(base, [], [])]
-        return DecodingNetwork("detector", 0, "direct", variants)
+        return DecodingNetwork("detector", 0, variants)
 
     port_flips = []
     for j in range(k):  # b ports read off logical x_j
@@ -215,7 +214,7 @@ def build_detector_network(
         (lambda t: (lambda: _batch_variant(base, port_flips, t)))(t)
         for t in _settings(2 * k)
     ]
-    return DecodingNetwork("detector", 2 * k, "wht", variants)
+    return DecodingNetwork("detector", 2 * k, variants)
 
 
 def _dual_support(p: PauliOperator) -> list[tuple[int, str]]:
@@ -299,13 +298,13 @@ def build_generator_network(
             net.add(Tensor.parity(legs, w_even=1 - bit, w_odd=bit))
 
     if fixed:
-        return DecodingNetwork("generator", 0, "direct", [lambda: _batch_variant(net, [], [])])
+        return DecodingNetwork("generator", 0, [lambda: _batch_variant(net, [], [])])
     port_flips = [[gen_ids[name]] for name in port_names]
     variants = [
         (lambda t: (lambda: _batch_variant(net, port_flips, t)))(t)
         for t in _settings(2 * k)
     ]
-    return DecodingNetwork("generator", 2 * k, "wht", variants)
+    return DecodingNetwork("generator", 2 * k, variants)
 
 
 def css_sector_parts(code: CssCode, sector: str):
@@ -388,12 +387,12 @@ def build_css_sector_network(
                 (lambda t: (lambda: _batch_variant(base, flips, t)))(t)
                 for t in _settings(1)
             ]
-            return DecodingNetwork("detector", 1, "wht", variants)
+            return DecodingNetwork("detector", 1, variants)
         classes = [0, 1] if ports == "classes" else [int(ports)]
         variants = [
             (lambda c: (lambda: _simplified(det_net(c)[0])))(c) for c in classes
         ]
-        return DecodingNetwork("detector", 0, "direct", variants)
+        return DecodingNetwork("detector", 0, variants)
 
     if picture != "generator":
         raise ValueError("picture must be 'detector' or 'generator'")
@@ -429,16 +428,16 @@ def build_css_sector_network(
             (lambda s: (lambda: _simplified(gen_net(r, s))))(sign)
             for sign in (1.0, -1.0)
         ]
-        return DecodingNetwork("generator", 1, "wht", variants, class_xor=c0)
+        return DecodingNetwork("generator", 1, variants, class_xor=c0)
     if ports == "classes":
         variants = [
             (lambda rep: (lambda: _simplified(gen_net(rep, None))))((r + c * err_log) % 2)
             for c in (0, 1)
         ]
-        return DecodingNetwork("generator", 0, "direct", variants, class_xor=c0)
+        return DecodingNetwork("generator", 0, variants, class_xor=c0)
     rep = (r + (int(ports) ^ c0) * err_log) % 2
     return DecodingNetwork(
-        "generator", 0, "direct", [lambda: _simplified(gen_net(rep, None))]
+        "generator", 0, [lambda: _simplified(gen_net(rep, None))]
     )
 
 
@@ -546,10 +545,10 @@ def build_dem_network(
             (lambda t: (lambda: _batch_variant(base, flips, t)))(t)
             for t in _settings(nl)
         ]
-        return DecodingNetwork("detector", nl, "wht", variants, class_xor=class_xor)
+        return DecodingNetwork("detector", nl, variants, class_xor=class_xor)
     classes = list(range(2 ** nl)) if ports == "classes" else [int(ports)]
     variants = [(lambda c: (lambda: _simplified(build(c)[0])))(c) for c in classes]
-    return DecodingNetwork("detector", 0, "direct", variants, class_xor=class_xor)
+    return DecodingNetwork("detector", 0, variants, class_xor=class_xor)
 
 
 def build_detector_cubic_network(
@@ -626,4 +625,4 @@ def build_detector_cubic_network(
         return net
 
     variants = [(lambda t: (lambda: build(t)))(t) for t in _settings(2)]
-    return DecodingNetwork("detector", 2, "wht", variants)
+    return DecodingNetwork("detector", 2, variants)

@@ -16,7 +16,7 @@ import sys
 import click
 import numpy as np
 
-from .approx import DEFAULT_CUTOFF
+from .approx import CUTOFF
 from .codes import five_qubit_code, surface_code_2d, surface_code_3d
 from .dem import (
     CompressionError,
@@ -81,7 +81,7 @@ def _make_problem(code, dem, picture, sector, p, d, chi_compress=None):
     try:
         if dem is not None:
             model = _load_dem(dem, p)
-            if not chi_compress:
+            if chi_compress is None:
                 return DemProblem(model)
             state = compress_dem(model, chi_compress)
             return DemProblem(
@@ -125,15 +125,18 @@ def _config(engine, chi_peps, chi_split, chi_mps):
     )
 
 
+# a bond dimension; an absent --chi-compress means no compression cap
+_CHI = click.IntRange(min=1)
+
 base_options = [
     click.option("--code", type=click.Choice(["five-qubit", "surface2d", "surface3d"])),
     click.option("--dem", type=click.Path(), help="detector error model file"),
     click.option("--picture", type=click.Choice(["detector", "generator"]), default="detector"),
     click.option("--sector", type=click.Choice(["x", "z", "both"]), default="both"),
-    click.option("--chi-peps", type=int, default=24),
-    click.option("--chi-split", type=int, default=8),
-    click.option("--chi-mps", type=int, default=32),
-    click.option("--chi-compress", type=int, default=None),
+    click.option("--chi-peps", type=_CHI, default=24),
+    click.option("--chi-split", type=_CHI, default=8),
+    click.option("--chi-mps", type=_CHI, default=32),
+    click.option("--chi-compress", type=_CHI, default=None),
     click.option(
         "--engine",
         type=click.Choice(["auto", "exact", "mps", "sweep"]),
@@ -230,7 +233,7 @@ def sample_cmd(code, dem, picture, sector, p, d, chi_peps, chi_split, chi_mps,
                 "chi_compress": chi_compress, "seed": seed, "shots": shots,
                 "engine": config.engine, "chi_peps": config.chi_peps,
                 "chi_split": config.chi_split, "chi_mps": config.chi_mps,
-                "cutoff": DEFAULT_CUTOFF, "picture": picture, "sector": sector}
+                "cutoff": CUTOFF, "picture": picture, "sector": sector}
     manifest_path = os.path.splitext(out)[0] + ".config.json"
     _check_manifest(out, manifest_path, manifest)
     problem = _make_problem(code, dem, picture, sector, p, d, chi_compress)
@@ -294,7 +297,7 @@ def threshold_cmd(code, dem, picture, sector, chi_peps, chi_split,
 
 @main.command("compress-dem")
 @click.option("--dem", type=click.Path(), required=True)
-@click.option("--chi-compress", type=int, default=None)
+@click.option("--chi-compress", type=_CHI, default=None)
 @click.option("--out", type=click.Path(), required=True, help="cache file (.npz)")
 def compress_cmd(dem, chi_compress, out):
     """Compress a detector error model onto a cubic lattice (offline)."""

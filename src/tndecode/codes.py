@@ -7,7 +7,6 @@ The coordinates double as placement hints for the tensor-network builders.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,44 +59,6 @@ class CssCode:
 
     def tableau(self) -> Tableau:
         return build_tableau(self.stabilizer_generators(), n=self.n)
-
-    def to_json(self) -> str:
-        doc = {
-            "n": self.n,
-            "hx": [sorted(int(q) for q in np.nonzero(r)[0]) for r in self.h_x],
-            "hz": [sorted(int(q) for q in np.nonzero(r)[0]) for r in self.h_z],
-            "logicals_x": [str(p) for p in self.logicals_x],
-            "logicals_z": [str(p) for p in self.logicals_z],
-            "qubit_coords": [list(c) for c in self.qubit_coords],
-            "check_coords": {
-                "x": [list(c) for c in self.check_coords_x],
-                "z": [list(c) for c in self.check_coords_z],
-            },
-        }
-        return json.dumps(doc, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CssCode":
-        doc = json.loads(text)
-        n = int(doc["n"])
-
-        def rows(key):
-            m = np.zeros((len(doc[key]), n), dtype=np.uint8)
-            for i, qs in enumerate(doc[key]):
-                m[i, qs] = 1
-            return m
-
-        cc = doc.get("check_coords", {"x": [], "z": []})
-        return cls(
-            n=n,
-            h_x=rows("hx"),
-            h_z=rows("hz"),
-            logicals_x=tuple(PauliOperator.from_string(s) for s in doc["logicals_x"]),
-            logicals_z=tuple(PauliOperator.from_string(s) for s in doc["logicals_z"]),
-            qubit_coords=tuple(tuple(c) for c in doc.get("qubit_coords", [])),
-            check_coords_x=tuple(tuple(c) for c in cc["x"]),
-            check_coords_z=tuple(tuple(c) for c in cc["z"]),
-        )
 
 
 def five_qubit_code() -> tuple[list[PauliOperator], Tableau]:

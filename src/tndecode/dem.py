@@ -237,9 +237,9 @@ def brute_force_class_probs(model: DetectorErrorModel, m) -> np.ndarray:
 # artifact answers every syndrome by fixing open detector legs.
 # ---------------------------------------------------------------------------
 
-from .approx import DEFAULT_CUTOFF, LatticeState, _tsqr_r
+from .approx import LatticeState, _tsqr_r
 from .builders import DecodingNetwork
-from .tensornet import Tensor, TensorNetwork
+from .tensornet import TensorNetwork
 
 
 class CompressionError(RuntimeError):
@@ -327,12 +327,11 @@ class CompressedCubicNetwork(LatticeState):
     # appended after the open leg
     GATE_AXIS = 7
 
-    def __init__(self, model: DetectorErrorModel, dims, site_of, chi, cutoff):
+    def __init__(self, model: DetectorErrorModel, dims, site_of, chi):
         self.model = model
         self.dims = tuple(dims)
         self.site_of = dict(site_of)  # detector/pseudo index -> site
         self.chi = chi
-        self.cutoff = cutoff
         self._fresh = {}  # site -> (in-bond axis, out-bond axis, flip), see snake
         open_sites = set(site_of.values())
         super().__init__({
@@ -447,14 +446,14 @@ class CompressedCubicNetwork(LatticeState):
         """Truncate the (p1, p2) bond to chi singular values in the locally
         optimal (simple update) gauge.  chi defaults to the compression
         cap; a cap of None or 0 keeps every singular value above the
-        cutoff."""
+        relative cutoff approx.CUTOFF."""
         chi = self.chi if chi is None else chi
         n = len(self.get_lam(p1, p2))
         if n == 1:
             return
         for pos in (p1, p2):
             self.sites[pos] = self.sites[pos][..., None]
-        self.simple_update(p1, p2, np.eye(1), chi or n, self.cutoff)
+        self.simple_update(p1, p2, np.eye(1), chi or n)
 
     def truncate_all(self, chi) -> None:
         """Global truncation pass bringing every bond dimension down to chi."""
@@ -468,49 +467,18 @@ class CompressedCubicNetwork(LatticeState):
 
     # -- decoding network --------------------------------------------------
     def _closed_network(self, m, t_bits) -> TensorNetwork:
-        m = np.asarray(m, dtype=np.uint8)
-        base = np.zeros(self.model.n_detectors, dtype=np.uint8)
-        for d in self.model.baseline_flips:
-            base[d] = 1
-        m = (m ^ base).astype(np.uint8)
-        det_at = {pos: i for i, pos in self.site_of.items()}
-        net = TensorNetwork()
-        net.log_scale = self.log_scale
-        scalar = 1.0
-        for pos in sorted(self.sites):
-            a = self.sites[pos]
-            idx = det_at.get(pos)
-            if a.shape[6] == 1:
-                a = a[..., 0]
-            elif idx is not None and idx < self.model.n_detectors:
-                vec = np.array([1.0, 0.0]) if m[idx] == 0 else np.array([0.0, 1.0])
-                a = np.tensordot(a, vec, axes=[[6], [0]])
-            else:  # logical pseudo-detector: Hadamard-terminated port
-                o = idx - self.model.n_detectors
-                sign = -1.0 if t_bits[o] else 1.0
-                a = np.tensordot(a, np.array([1.0, sign]), axes=[[6], [0]])
-            legs = []
-            keep_axes = []
-            for npos, ax in self.neighbors(pos):
-                if a.shape[ax] == 1:
-                    continue
-                lam = self.get_lam(pos, npos)
-                a = a * np.sqrt(lam).reshape((-1,) + (1,) * (a.ndim - 1 - ax))
-                bond = self.bond(pos, npos)
-                legs.append(f"b{bond[0]}|{bond[1]}")
-                keep_axes.append(ax)
-            a = a.reshape([a.shape[ax] for ax in keep_axes]) if keep_axes else a.reshape(())
-            if not legs:
-                scalar *= float(a)
-                continue
-            net.add(Tensor.dense(np.ascontiguousarray(a), legs), coord=pos)
-        if not net.tensors or scalar != 1.0:
-            first = min(net.tensors) if net.tensors else None
-            if first is None:
-                net.add(Tensor.dense(np.array(scalar), []), coord=None)
-            elif scalar != 1.0:
-                net.tensors[first].values = net.tensors[first].densify() * scalar
-        return net
+        """The network of outcome m at logical sign setting t_bits: a
+        detector site's open leg ends in the one-hot vector of its outcome
+        (m XOR the baseline), a logical pseudo-site's in the
+        Hadamard-terminated port (1, +-1) of its sign bit."""
+        nd = self.model.n_detectors
+        flips = np.zeros(nd, dtype=np.uint8)
+        flips[list(self.model.baseline_flips)] = 1
+        m = np.asarray(m, dtype=np.uint8) ^ flips
+        ends = {pos: np.eye(2)[m[i]] if i < nd else
+                np.array([1.0, -1.0 if t_bits[i - nd] else 1.0])
+                for i, pos in self.site_of.items()}
+        return self.to_network(ends)
 
     def decoding_network(self, m, ports: str = "batch") -> DecodingNetwork:
         if ports != "batch":
@@ -525,7 +493,7 @@ class CompressedCubicNetwork(LatticeState):
         xor = 0
         for o in self.model.baseline_logicals:
             xor |= 1 << (k - 1 - o)
-        return DecodingNetwork("dem", k, "wht", variants, class_xor=xor)
+        return DecodingNetwork("dem", k, variants, class_xor=xor)
 
     # -- persistence -------------------------------------------------------
     def save(self, path) -> None:
@@ -533,7 +501,6 @@ class CompressedCubicNetwork(LatticeState):
             "version": np.array(2),
             "dims": np.array(self.dims),
             "chi": np.array(self.chi if self.chi else 0),
-            "cutoff": np.array(self.cutoff),
             "log_scale": np.array(self.log_scale),
             "det_idx": np.array(sorted(self.site_of)),
             "det_pos": np.array([self.site_of[i] for i in sorted(self.site_of)]),
@@ -568,7 +535,7 @@ class CompressedCubicNetwork(LatticeState):
             for i, pos in zip(z["det_idx"], z["det_pos"])
         }
         chi = int(z["chi"]) or None
-        self = cls(model, dims, site_of, chi, float(z["cutoff"]))
+        self = cls(model, dims, site_of, chi)
         self.log_scale = float(z["log_scale"])
         for key in z.files:
             if key.startswith("T_"):
@@ -586,18 +553,17 @@ def compress_dem(
     model: DetectorErrorModel,
     chi_compress=None,
     dims=None,
-    cutoff: float = DEFAULT_CUTOFF,
 ) -> CompressedCubicNetwork:
     """Offline compression of a detector error model onto a cubic lattice.
 
     Mechanisms are merged, laid out (logical observables get pseudo-sites),
     and snaked in deterministic order: sorted by (first touched site in
     lexicographic order, detector-set size).  chi_compress=None keeps every
-    singular value above the relative cutoff.
+    singular value above the relative cutoff approx.CUTOFF.
     """
     model = merge_mechanisms(model)
     dims, site_of = layout_detectors(model, dims, extra=model.n_logicals)
-    state = CompressedCubicNetwork(model, dims, site_of, chi_compress, cutoff)
+    state = CompressedCubicNetwork(model, dims, site_of, chi_compress)
     order = sorted(
         range(len(model.mechanisms)),
         key=lambda j: (

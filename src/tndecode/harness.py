@@ -144,6 +144,8 @@ class CssSectorProblem:
         picture: str = "detector",
         ports: str = "batch",
     ):
+        if not 0 <= p <= 1:
+            raise ValueError("p out of range")
         self.code = code
         self.sector = sector
         self.p = p
@@ -254,7 +256,7 @@ def _decide(problem, m, config: ContractionConfig) -> int:
     dn = problem.network(m)
     nets = dn.networks()
     contract = _contractor(nets[0], config)
-    if dn.transform == "wht" and dn.n_ports:
+    if dn.n_ports:
         vals = [ContractionValue(0.0)] + [contract(net) for net in nets[1:]]
     else:
         vals = [contract(net) for net in nets]

@@ -1,10 +1,13 @@
-"""Brute-force enumeration oracles shared by the test modules.
+"""Brute-force oracles shared by the test modules.
 
 The stabilizer and CSS-sector oracles live in tndecode.oracle, where the
 CLI's oracle command uses them too; the DEM oracle here tabulates every
-syndrome at once.  All are plain enumerations, independent of the
-tensor-network contractions they check.
+syndrome at once, and lattice_value contracts a Vidal-gauge lattice state
+in one einsum.  All are independent of the tensor-network contractions
+they check.
 """
+import math
+
 import numpy as np
 
 from tndecode.oracle import css_sector_class_probs, stabilizer_class_probs  # noqa: F401
@@ -39,3 +42,23 @@ def dem_all_class_probs(model):
 def syndrome_index(m):
     m = np.asarray(m, np.uint8)
     return int(m @ (1 << np.arange(len(m) - 1, -1, -1)))
+
+
+def lattice_value(state, ends=None):
+    """Value of an approx.LatticeState straight from its arrays: each site's
+    last leg contracted with ends[pos] (or taken at its one entry), every
+    bond summed with its weights lam as a third operand, i.e. diag(lam),
+    times exp(log_scale).  A leg to a position outside the state is summed
+    on its own, so it must have size 1."""
+    ends = ends or {}
+    labels, operands = {}, []
+    for pos, A in state.sites.items():
+        A = np.tensordot(A, ends[pos], axes=([-1], [0])) if pos in ends else A[..., 0]
+        sub = [None] * A.ndim
+        for npos, ax in state.neighbors(pos):
+            key = state.bond(pos, npos) if npos in state.sites else (pos, ax)
+            sub[ax] = labels.setdefault(key, len(labels))
+        operands += [A, sub]
+    for bond, lam in state.lam.items():
+        operands += [lam, [labels[bond]]]
+    return float(np.einsum(*operands, [], optimize=True)) * math.exp(state.log_scale)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tests._oracles import lattice_value
 from tndecode import approx
 from tndecode.approx import MpsState, SweepState, mps_contract_2d, sweep_contract_3d
 from tndecode.builders import build_css_sector_network, build_detector_cubic_network
@@ -261,9 +262,38 @@ def test_apply_bond_gate_full_update_exact_at_bond_rank():
     assert got.value == pytest.approx(want, rel=1e-12)
 
 
-def _truncated_full_svd(M, chi, cutoff=approx.DEFAULT_CUTOFF):
+def test_readout_matches_direct_contraction():
+    # a 2x3 carrier state: weights on the bonds of size above 1, a
+    # one-entry weight vector on the size-1 bond (1, 0)-(1, 1), and a site
+    # at (1, 2) with no bond at all, which reads out as a scalar
+    rng = np.random.default_rng(71)
+    state = SweepState([(x, y) for x in range(2) for y in range(3)])
+    dims = {((0, 0), (1, 0)): 3, ((0, 0), (0, 1)): 2, ((0, 1), (1, 1)): 2,
+            ((0, 1), (0, 2)): 2}
+    for pos in state.sites:
+        shape = [1] * 5
+        for npos, ax in state.neighbors(pos):
+            shape[ax] = dims.get(state.bond(pos, npos), 1)
+        state.sites[pos] = rng.standard_normal(shape)
+    state.lam = {bond: rng.uniform(0.1, 1.0, n) for bond, n in dims.items()}
+    state.lam[((1, 0), (1, 1))] = np.array([0.5])
+    state.log_scale = 0.3
+    net = state.to_network()
+    assert [t.ndim for tid, t in net.tensors.items() if net.coords[tid] == (1, 2)] == [0]
+    assert net.contract_exact().value == pytest.approx(lattice_value(state), rel=1e-12)
+
+
+def test_readout_rejects_an_open_leg_without_end():
+    state = SweepState([(0, 0), (1, 0)])
+    state.sites[(1, 0)] = np.ones((1, 1, 1, 1, 2))
+    with pytest.raises(ValueError):
+        state.to_network()
+    assert state.to_network({(1, 0): np.array([1.0, 2.0])}).contract_exact().value == 3.0
+
+
+def _truncated_full_svd(M, chi):
     u, s, vt = np.linalg.svd(M, full_matrices=False)
-    keep = max(1, min(chi, int(np.count_nonzero(s > cutoff * s[0]))))
+    keep = max(1, min(chi, int(np.count_nonzero(s > approx.CUTOFF * s[0]))))
     return u[:, :keep], s[:keep], vt[:keep]
 
 
@@ -467,7 +497,7 @@ def test_truncate_bond_full_rank_exact_with_spread_outer_weights():
 
     rng = np.random.default_rng(54)
     a, b = (0, 0, 0), (1, 0, 0)
-    state = CompressedCubicNetwork(DetectorErrorModel(), (2, 1, 1), {}, None, 1e-14)
+    state = CompressedCubicNetwork(DetectorErrorModel(), (2, 1, 1), {}, None)
     # axes: +x, -x, +y, -y, +z, -z, open
     state.sites[a] = rng.standard_normal((4, 3, 3, 1, 2, 1, 2))
     state.sites[b] = rng.standard_normal((3, 4, 1, 1, 1, 1, 1))  # view layout

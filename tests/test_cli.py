@@ -89,6 +89,34 @@ def test_input_errors_exit_2(runner, tmp_path):
         assert res.exit_code == 2, (args, res.output)
 
 
+def test_out_of_range_chi_and_p_exit_2(runner, tmp_path):
+    # a bond dimension below 1 is refused before anything runs, and a p
+    # outside [0, 1] is an input error on every code, not a late failure
+    out = str(tmp_path / "x.csv")
+    sector_x = ["--code", "surface2d", "--sector", "x", "--d", "3"]
+    cases = [
+        ["decode", *sector_x, "--p", "0.05", "--chi-mps", "0", "--syndrome", "100000"],
+        ["decode", *sector_x, "--p", "0.05", "--chi-peps", "-1", "--syndrome", "100000"],
+        ["decode", *sector_x, "--p", "0.05", "--chi-split", "0", "--syndrome", "100000"],
+        ["decode", "--dem", os.path.join(DATA, "rotated_d3.dem"), "--chi-compress", "0",
+         "--syndrome", "0" * 24],
+        ["compress-dem", "--dem", os.path.join(DATA, "rotated_d3.dem"),
+         "--chi-compress", "-2", "--out", str(tmp_path / "x.npz")],
+        ["decode", *sector_x, "--p", "1.5", "--syndrome", "100000"],
+        ["decode", *sector_x, "--p", "-0.1", "--syndrome", "100000"],
+        ["decode", *sector_x, "--p", "nan", "--syndrome", "100000"],
+        ["oracle", *sector_x, "--p", "1.5", "--syndrome", "100000"],
+        ["sample", *sector_x, "--p", "1.5", "--shots", "1", "--out", out],
+        ["decode", "--code", "surface3d", "--sector", "z", "--p", "1.5", "--syndrome", "0"],
+        ["decode", "--code", "surface3d", "--p", "1.5", "--syndrome", "0"],
+    ]
+    for args in cases:
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, (args, res.output)
+    assert not os.path.exists(out)
+    assert not os.path.exists(tmp_path / "x.npz")
+
+
 def test_sample_writes_csv_and_manifest(runner, tmp_path):
     out = str(tmp_path / "runs.csv")
     args = ["sample", "--code", "five-qubit", "--p", "0.05", "--shots", "50",

@@ -119,16 +119,3 @@ def test_surface_code_3d_d2_distances():
     assert sector_distance(code.h_x, code.logicals_x[0].x_bits) == 2
     # x-type errors (h_z sector): membrane logical of weight d^2
     assert sector_distance(code.h_z, code.logicals_z[0].z_bits) == 4
-
-
-def test_code_json_round_trip():
-    for code in (surface_code_2d(3), surface_code_3d(2)):
-        back = CssCode.from_json(code.to_json())
-        assert back.n == code.n
-        assert np.array_equal(back.h_x, code.h_x)
-        assert np.array_equal(back.h_z, code.h_z)
-        assert back.logicals_x == code.logicals_x
-        assert back.logicals_z == code.logicals_z
-        assert back.qubit_coords == code.qubit_coords
-        assert back.check_coords_x == code.check_coords_x
-        assert back.check_coords_z == code.check_coords_z

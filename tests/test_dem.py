@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from tests._oracles import dem_all_class_probs, syndrome_index
+from tests._oracles import dem_all_class_probs, lattice_value, syndrome_index
 from tndecode.dem import (
     CompressedCubicNetwork,
     CompressionError,
@@ -177,7 +177,7 @@ def test_snaking_order_independent_at_unlimited_chi():
     s1 = compress_dem(model, None)
     merged = merge_mechanisms(model)
     dims, site_of = layout_detectors(merged, None, extra=1)
-    s2 = CompressedCubicNetwork(merged, dims, site_of, None, 1e-14)
+    s2 = CompressedCubicNetwork(merged, dims, site_of, None)
     for j in rng.permutation(len(merged.mechanisms)):
         s2.snake(merged.mechanisms[j])
     for _ in range(20):
@@ -230,6 +230,24 @@ def test_save_load_keeps_baseline_and_detector_count(tmp_path, text):
                            rtol=1e-10, atol=1e-14), bits
 
 
+def test_load_ignores_the_cutoff_of_older_caches(tmp_path):
+    # compression always uses approx.CUTOFF; caches written when it was a
+    # parameter still carry it as a key
+    state = compress_dem(parse_dem("error(0.1) D0 L0\nerror(0.2) D0 D1\n"), None)
+    path = str(tmp_path / "cache.npz")
+    state.save(path)
+    with np.load(path) as z:
+        assert "cutoff" not in z.files
+        data = {k: z[k] for k in z.files}
+    old = str(tmp_path / "old.npz")
+    np.savez_compressed(old, cutoff=np.array(1e-14), **data)
+    back = CompressedCubicNetwork.load(old)
+    for bits in itertools.product((0, 1), repeat=2):
+        m = np.array(bits, np.uint8)
+        assert ([(v.mantissa, v.log_abs) for v in back.decoding_network(m).class_values()]
+                == [(v.mantissa, v.log_abs) for v in state.decoding_network(m).class_values()])
+
+
 def test_load_version_1_cache_without_model_extras(tmp_path):
     # caches written before the detector count and baseline were stored
     model = parse_dem("error(0.1) D0 L0\nerror(0.2) D0 D1\n"
@@ -248,6 +266,43 @@ def test_load_version_1_cache_without_model_extras(tmp_path):
         m = np.array(bits, np.uint8)
         assert ([v.value for v in back.decoding_network(m).class_values()]
                 == [v.value for v in state.decoding_network(m).class_values()])
+
+
+def _baseline_model():
+    return DetectorErrorModel(
+        mechanisms=[Mechanism(0.1, (0,), (0,)), Mechanism(0.2, (0, 1), ()),
+                    Mechanism(0.15, (1, 2), ())],
+        n_detectors=3, n_logicals=1, baseline_flips=(1,))
+
+
+def test_closed_network_matches_direct_contraction():
+    # fixing the open legs is the readout's ends: a detector's one-hot
+    # outcome (m XOR the baseline), the logical port's (1, +-1)
+    state = compress_dem(_baseline_model(), None, dims=(2, 2, 2))
+    with pytest.raises(ValueError):
+        state.to_network()  # an open leg of size 2 needs an end
+    bare = [pos for pos, a in state.sites.items() if a.size == 1
+            and all(state.bond(pos, npos) not in state.lam
+                    for npos, _ax in state.neighbors(pos))]
+    assert bare  # a filler site with no bond, read out as a scalar
+    one = next(state.bond(p, q) for p in state.sites for q, ax in state.neighbors(p)
+               if q in state.sites and state.bond(p, q) not in state.lam
+               and state.sites[p].shape[ax] == 1)
+    state.lam[one] = np.array([0.5])  # a one-entry weight vector
+    site_of = state.site_of
+    for bits in itertools.product((0, 1), repeat=3):
+        for t in (0, 1):
+            ends = {site_of[i]: np.eye(2)[b ^ (i == 1)] for i, b in enumerate(bits)}
+            ends[site_of[3]] = np.array([1.0, -1.0 if t else 1.0])
+            got = state._closed_network(np.array(bits, np.uint8), [t]).contract_exact()
+            assert got.value == pytest.approx(lattice_value(state, ends), rel=1e-12)
+
+
+def test_closed_network_leaves_the_syndrome_alone():
+    state = compress_dem(_baseline_model(), None)
+    m = np.array([0, 1, 1], np.uint8)
+    state._closed_network(m, [0])
+    assert m.tolist() == [0, 1, 1]
 
 
 def test_truncate_all_caps_every_bond():
@@ -365,7 +420,7 @@ def test_fresh_site_truncation_matches_the_doubled_site(ax_in, ax_out, dd, flip,
     held = [(a, a.tobytes()) for a in [S, A0, *lam.values()]]
     states = []
     for fresh in (True, False):
-        st = CompressedCubicNetwork(DetectorErrorModel(), (3, 3, 3), {}, chi, 1e-14)
+        st = CompressedCubicNetwork(DetectorErrorModel(), (3, 3, 3), {}, chi)
         st.lam.update(lam)
         st.sites[p0] = A0
         if fresh:
@@ -393,7 +448,7 @@ def test_snake_keeps_held_arrays_and_leaves_no_fresh_site():
     model = random_dem(rng, 8, 16, with_coords=True)
     merged = merge_mechanisms(model)
     dims, site_of = layout_detectors(merged, None, extra=1)
-    state = CompressedCubicNetwork(merged, dims, site_of, 4, 1e-14)
+    state = CompressedCubicNetwork(merged, dims, site_of, 4)
     for mech in merged.mechanisms[:-1]:
         state.snake(mech)
     held = [(a, a.tobytes()) for a in [*state.sites.values(), *state.lam.values()]]

@@ -9,7 +9,8 @@ import numpy as np
 from tests._oracles import dem_all_class_probs
 from tndecode.dem import DetectorErrorModel, Mechanism
 
-TOOLS = os.path.join(os.path.dirname(__file__), "..", "tools")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+TOOLS = os.path.join(ROOT, "tools")
 sys.path.insert(0, TOOLS)
 
 from check_smoke_ml import class_prob_table  # noqa: E402
@@ -74,3 +75,15 @@ def test_run_thresholds_workers_write_the_serial_rows(tmp_path):
         assert run.returncode == 0, run.stderr
     assert len(rows(serial)) == 1 + 5 * 2
     assert rows(forked) == rows(serial)
+
+
+def test_bench_tracing_wraps_names_the_package_has():
+    # the traced benchmark wraps package functions and methods by name; a
+    # renamed one fails install() with an AttributeError
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "bench"), os.path.join(ROOT, "src")]))
+    res = subprocess.run(
+        [sys.executable, "-c", "from tracing import Tracer, install; install(Tracer())"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
