@@ -108,8 +108,9 @@ class DecodingNetwork:
     _variants: list
     class_xor: int = 0  # XOR offset applied to class indices (DEM baselines)
 
-    def networks(self) -> list[TensorNetwork]:
-        return [make() for make in self._variants]
+    def networks(self, first: int = 0) -> list[TensorNetwork]:
+        """The networks of the variants from index first on, in order."""
+        return [make() for make in self._variants[first:]]
 
     def class_values(self, contract=None) -> list[ContractionValue]:
         if contract is None:

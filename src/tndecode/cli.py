@@ -274,12 +274,15 @@ def threshold_cmd(code, dem, picture, sector, chi_peps, chi_split,
         raise InputError("give at least three --p values")
     config = _config(engine, chi_peps, chi_split, chi_mps)
     ps = sorted(ps)
+    # every grid point's problem first, so a bad p or d exits 2 before any decoding
+    problems = {(dist, pp): _make_problem(code, dem, picture, sector, pp, dist,
+                                          chi_compress)
+                for dist in ds for pp in ps}
     curves = {}
     for dist in ds:
         rates = []
         for idx, pp in enumerate(ps):
-            problem = _make_problem(code, dem, picture, sector, pp, dist,
-                                    chi_compress)
+            problem = problems[dist, pp]
             failures, _ = _failures(problem, config,
                                     campaign_seed(seed, dist, idx), shots)
             rates.append(failures / shots)

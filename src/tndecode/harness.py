@@ -248,18 +248,18 @@ def decode(problem, m, config: ContractionConfig = ContractionConfig()) -> Decod
 
 
 def _decide(problem, m, config: ContractionConfig) -> int:
-    """The class decode chooses, without contracting the all-plus setting.
+    """The class decode chooses, without building or contracting the
+    all-plus setting.
 
     With WHT ports, setting t=0 adds the same f_0 / 2^k to every class
     value, so it cannot move the argmax: it enters the transform as zero.
     """
     dn = problem.network(m)
-    nets = dn.networks()
+    nets = dn.networks(1 if dn.n_ports else 0)
     contract = _contractor(nets[0], config)
+    vals = [contract(net) for net in nets]
     if dn.n_ports:
-        vals = [ContractionValue(0.0)] + [contract(net) for net in nets[1:]]
-    else:
-        vals = [contract(net) for net in nets]
+        vals = [ContractionValue(0.0)] + vals
     return _argmax_class(dn.to_class_values(vals))
 
 

@@ -8,6 +8,7 @@ entries, so high-degree check nodes never materialize.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,6 +82,14 @@ class ContractionValue:
         return (self.mantissa / other.mantissa) * math.exp(
             self.log_scale - other.log_scale
         )
+
+
+@functools.lru_cache(maxsize=None)
+def _odd_parity(k: int) -> np.ndarray:
+    """Read-only (2,)*k mask of the indices whose entries sum to an odd number."""
+    mask = np.indices((2,) * k).sum(axis=0) % 2 == 1
+    mask.flags.writeable = False
+    return mask
 
 
 @dataclass
@@ -162,9 +171,7 @@ class Tensor:
             out[(0,) * k] = self.w0
             out[(1,) * k] = self.w1
             return out
-        idx = np.indices((2,) * k).reshape(k, -1).sum(axis=0) % 2
-        flat = np.where(idx == 0, self.w0, self.w1).astype(float)
-        return flat.reshape((2,) * k)
+        return np.where(_odd_parity(k), self.w1, self.w0).astype(float, copy=False)
 
     def fix_leg(self, leg: str, vector) -> "Tensor":
         """Contract one leg against a vector, staying structured if possible.

@@ -6,7 +6,9 @@ import pytest
 
 from tests._oracles import lattice_value
 from tndecode import approx
-from tndecode.approx import MpsState, SweepState, mps_contract_2d, sweep_contract_3d
+from tndecode.approx import (
+    BondGate, MpsState, SweepState, mps_contract_2d, sweep_contract_3d,
+)
 from tndecode.builders import build_css_sector_network, build_detector_cubic_network
 from tndecode.codes import surface_code_2d, surface_code_3d
 from tndecode.noise import depolarizing
@@ -248,11 +250,11 @@ def test_apply_bond_gate_full_update_exact_at_bond_rank():
     ring = [(a, b), (b, c), (c, d), (d, a)]
     gates = [rng.standard_normal((2, 2)) for _ in ring]
     for (p1, p2), g in zip(ring, gates):
-        state.apply_bond_gate(p1, p2, g, chi=2)
+        state.apply_bond_gate(p1, p2, BondGate.of(g), chi=2)
     va, vb = attach(a, 2), attach(b, 2)
     g2 = rng.standard_normal((2, 2))
     assert len(state.get_lam(a, b)) * np.linalg.matrix_rank(g2) > 2
-    state.apply_bond_gate(a, b, g2, chi=2)
+    state.apply_bond_gate(a, b, BondGate.of(g2), chi=2)
     assert len(state.get_lam(a, b)) == 2
     assert state.truncation_cut < 1e-12
     # ra[ab, da], rb[ab, bc], rc[bc, cd], rd[cd, da]
@@ -514,3 +516,126 @@ def test_truncate_bond_full_rank_exact_with_spread_outer_weights():
     assert state.sites[a].ndim == 7 and state.truncation_cut < 1e-12
     got = _pair_value(state, a, b)
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
+
+
+# ---------------------------------------------------------------------------
+# sweep plan cache
+
+
+@pytest.fixture()
+def cold_plans():
+    approx._PLANS.clear()
+    yield
+    approx._PLANS.clear()
+
+
+def _value_bits(problem, m, config):
+    from tndecode.harness import decode
+
+    return [(v.mantissa.hex(), v.log_scale.hex())
+            for v in decode(problem, m, config).class_values]
+
+
+def _cold_value_bits(problem, m, config):
+    approx._PLANS.clear()
+    return _value_bits(problem, m, config)
+
+
+def _distinct_shots(problem, n, seed):
+    from tndecode.harness import sample_errors
+
+    shots, seen = [], set()
+    for _cls, m in sample_errors(problem, 40 * n, seed):
+        if m.tobytes() not in seen:
+            seen.add(m.tobytes())
+            shots.append(m)
+        if len(shots) == n:
+            return shots
+    raise AssertionError("too few distinct syndromes")
+
+
+@pytest.fixture()
+def split_calls(monkeypatch):
+    calls = []
+    split_site = approx._split_site
+
+    def counted(*args):
+        calls.append(None)
+        return split_site(*args)
+
+    monkeypatch.setattr(approx, "_split_site", counted)
+    return calls
+
+
+def test_warm_plan_cache_gives_cold_cache_bits(cold_plans, split_calls):
+    from tndecode.harness import ContractionConfig, CssSectorProblem, CubicDepolarizingProblem
+
+    config = ContractionConfig("sweep", chi_peps=6, chi_split=2, chi_mps=8)
+    depol = CubicDepolarizingProblem(surface_code_3d(2), 0.07)
+    point = CssSectorProblem(surface_code_3d(3), "z", 0.04, "detector")
+    shots = [(prob, m) for pair in zip(_distinct_shots(depol, 4, 3), _distinct_shots(point, 4, 4))
+             for prob, m in zip((depol, point), pair)]
+    warm = [_value_bits(prob, m, config) for prob, m in shots]
+    warm_splits = len(split_calls)
+    split_calls.clear()
+    cold = [_cold_value_bits(prob, m, config) for prob, m in shots]
+    assert warm == cold
+    assert 0 < warm_splits < len(split_calls)  # the warm run reused splits
+
+
+def test_plan_cache_resplits_when_dense_values_change(cold_plans, split_calls):
+    # same network shape at two p: every dense site differs, so no split of
+    # one problem may serve the other
+    from tndecode.harness import ContractionConfig, CubicDepolarizingProblem
+
+    config = ContractionConfig("sweep", chi_peps=6, chi_split=2, chi_mps=8)
+    problems = [CubicDepolarizingProblem(surface_code_3d(2), p) for p in (0.05, 0.07)]
+    ms = _distinct_shots(problems[0], 3, 8)
+    runs = [(prob, m) for m in ms for prob in problems]
+    cold = [_cold_value_bits(prob, m, config) for prob, m in runs]
+    cold_splits = len(split_calls)
+    split_calls.clear()
+    approx._PLANS.clear()
+    assert [_value_bits(prob, m, config) for prob, m in runs] == cold
+    assert 0 < len(split_calls) < cold_splits  # the warm run reused splits
+
+
+def test_plan_cache_stays_bounded_on_dem_syndromes(cold_plans, monkeypatch):
+    from tndecode import dem
+    from tndecode.harness import ContractionConfig, DemProblem, _decide
+
+    text = "".join(f"error(0.02) D{a} L0\nerror(0.02) D{a} D{a + 1}\nerror(0.02) D{a + 1}\n"
+                   f"error(0.01) D{a} D{a + 2}\nerror(0.01) D{a + 1} D{a + 3}\n"
+                   for a in (0, 2)) + "error(0.02) D4 L0\nerror(0.02) D4 D5\nerror(0.02) D5\n"
+    state = dem.compress_dem(dem.parse_dem(text), 16)
+    problem = DemProblem(state.model,
+                         network_builder=lambda mdl, m, ports: state.decoding_network(m, ports))
+    built = []
+    build = approx.SweepPlan.build.__func__
+
+    def counted(cls, *args):
+        built.append(None)
+        return build(cls, *args)
+
+    monkeypatch.setattr(approx.SweepPlan, "build", classmethod(counted))
+    config = ContractionConfig("sweep", chi_peps=12, chi_split=8, chi_mps=16)
+    for m in _distinct_shots(problem, 20, 5):
+        _decide(problem, m, config)
+        assert len(approx._PLANS) <= approx.PLAN_CACHE_SIZE
+    assert len(built) > approx.PLAN_CACHE_SIZE  # plans were dropped
+
+
+def test_plan_arrays_are_read_only(cold_plans):
+    code = surface_code_3d(2)
+    m = np.zeros(code.h_x.shape[0] + code.h_z.shape[0], np.uint8)
+    m[0] = 1
+    net = build_detector_cubic_network(code, [depolarizing(0.07)] * code.n, m).networks()[1]
+    sweep_contract_3d(net, 6, 2, 8)
+    (plan,) = approx._PLANS
+    arrays = list(plan.inputs.values()) + [g for gate in plan.gates.values() for g in gate]
+    for residual, factors in plan.splits.values():
+        arrays += [residual, *factors]
+    assert plan.splits and plan.gates
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        next(iter(plan.gates.values())).u[0, 0] = 1.0

@@ -199,6 +199,19 @@ def test_threshold_argument_validation(runner, tmp_path):
     assert res.exit_code == 2
 
 
+def test_threshold_checks_every_p_before_decoding(runner, tmp_path):
+    out = tmp_path / "x.json"
+    res = runner.invoke(main, [
+        "threshold", "--code", "surface2d", "--sector", "x",
+        "--p", "0.1", "--p", "0.2", "--p", "1.5", "--d", "3", "--d", "5",
+        "--shots", "20", "--out", str(out),
+    ])
+    assert res.exit_code == 2, res.output
+    assert "p out of range" in res.output
+    assert "d=" not in res.output
+    assert not out.exists()
+
+
 def test_compress_dem_and_decode_from_cache(runner, tmp_path):
     dem = os.path.join(DATA, "rotated_d3.dem")
     out = str(tmp_path / "cache.npz")

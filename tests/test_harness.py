@@ -142,9 +142,10 @@ def test_decide_skips_only_the_all_plus_contraction(monkeypatch):
         counts["contract"] += 1
         return contract_exact(self, *args, **kwargs)
 
-    def counted_networks(self):
-        counts["build"] += 1
-        return networks(self)
+    def counted_networks(self, *args):
+        nets = networks(self, *args)
+        counts["build"] += len(nets)
+        return nets
 
     monkeypatch.setattr(TensorNetwork, "contract_exact", counted_contract)
     monkeypatch.setattr(DecodingNetwork, "networks", counted_networks)
@@ -152,10 +153,10 @@ def test_decide_skips_only_the_all_plus_contraction(monkeypatch):
         m = np.array(m, np.uint8)
         counts.update(contract=0, build=0)
         res = decode(prob, m, EXACT)
-        assert counts == {"contract": 8, "build": 1}
+        assert counts == {"contract": 8, "build": 8}
         counts.update(contract=0, build=0)
         assert _decide(prob, m, EXACT) == res.chosen_class
-        assert counts == {"contract": 7, "build": 1}
+        assert counts == {"contract": 7, "build": 7}
 
 
 def test_dem_problem_near_deterministic_mechanism():

@@ -87,3 +87,14 @@ def test_bench_tracing_wraps_names_the_package_has():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert res.returncode == 0, res.stderr
+
+
+def test_value_digest_prints_one_digest_per_workload():
+    res = subprocess.run(
+        [sys.executable, os.path.join(TOOLS, "value_digest.py"), "--quick", "--shots", "2"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.split("\n")[:-1]
+    assert [line.split()[0] for line in lines] == ["point-d5", "depol-d3", "dem-d3"]
+    assert all(len(line.split()[1]) == 64 for line in lines)
