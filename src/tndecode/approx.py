@@ -1,13 +1,26 @@
 """Approximate contraction engines.
 
-Two engines are provided.  mps_contract_2d sweeps a boundary MPS across a
-planar network whose tensors carry 2D integer coordinates with unit-step
-bonds.  sweep_contract_3d contracts a layered 3D network (3D integer
-coordinates, unit-step bonds) bottom-to-top along the first axis: each
-layer is decomposed into per-site residual tensors and two-site gates,
-gates are applied to a 2D carrier state with simple-update truncation
-(per-bond Vidal-gauge lambda vectors), and the final 2D network is handed
-to the boundary MPS.
+Two engines are provided.  mps_contract_2d contracts a planar network
+whose tensors carry 2D integer coordinates with unit-step bonds by two
+boundary MPSs (Bravyi, Suchara, Vargo, arXiv:1405.4883): one zips the
+columns left of the middle one from the left, the other those right of it
+from the right, each column with zip-up truncation (Stoudenmire, White,
+arXiv:1002.1305) of the MPS brought to right-canonical form first, and
+the middle column is contracted exactly between them.  A zip-up into a
+product state is cheap, so against one MPS crossing every column this
+trades two zip-ups into a wide MPS for one into a product state and one
+exact contraction without SVD, and takes out one round of truncation.
+The canonical form is what makes each truncation keep the weight of the
+whole state: a zip-up leaves the MPS left-orthonormal, and truncating
+against those sites as if they were right-orthonormal loses tens of nats
+on depolarizing d=5 networks at chi 64.
+
+sweep_contract_3d contracts a layered 3D network (3D integer coordinates,
+unit-step bonds) bottom-to-top along the first axis: each layer is
+decomposed into per-site residual tensors and two-site gates, gates are
+applied to a 2D carrier state with simple-update truncation (per-bond
+Vidal-gauge lambda vectors), and the final 2D network is handed to the
+boundary MPS.
 
 What the sweep derives before its first step is a SweepPlan: the planes
 in sweep order with the bond-plane matrices folded above each, the
@@ -23,8 +36,9 @@ whose entries changed.  A cached plan's arrays are read-only.
 Singular values below the relative cutoff CUTOFF are always discarded,
 so exact rank structure is preserved without noise amplification; the chi
 arguments cap what survives the cutoff.  The randomized SVD of the
-boundary MPS draws its sketches from a generator seeded with SKETCH_SEED,
-so every contraction is deterministic.
+boundary MPSs draws its sketches from one generator seeded with
+SKETCH_SEED, the left MPS's zip-ups first, so every contraction is
+deterministic.
 """
 from __future__ import annotations
 
@@ -137,9 +151,26 @@ class MpsState:
     def bond_dims(self) -> list:
         return [s.shape[1] for s in self.sites[:-1]]
 
+    def right_canonicalize(self) -> None:
+        """Bring every site above site 0 to right-orthonormal form (QR from
+        the top site down, each R absorbed into the site below), so that
+        the norm of the state sits in site 0."""
+        for i in range(len(self.sites) - 1, 0, -1):
+            l, r, p = self.sites[i].shape
+            q, R = _qr(self.sites[i].reshape(l, r * p).T, mode='economic', check_finite=False)
+            self.sites[i] = q.T.reshape(-1, r, p)
+            below = np.tensordot(self.sites[i - 1], R, axes=([1], [1])).transpose(0, 2, 1)
+            self.sites[i - 1], log_factor = pow2_normalize(below)
+            self.log_scale += log_factor
+
     def apply_mpo_zip(self, mpo: list, rng=None) -> None:
         """Apply an MPO column (site legs (down, up, p_in, p_out)) with
-        zip-up truncation, sweeping from site 0 upward."""
+        zip-up truncation, sweeping from site 0 upward.
+
+        The state is right-canonicalized first, so that each truncation
+        sees the sites above it as an orthonormal basis; the previous
+        zip-up left them left-orthonormal."""
+        self.right_canonicalize()
         n = len(self.sites)
         carry = None
         new_sites = []
@@ -171,18 +202,24 @@ class MpsState:
             self.sites[i], log_factor = pow2_normalize(self.sites[i])
             self.log_scale += log_factor
 
-    def close(self) -> ContractionValue:
-        """Contract a fully closed MPS (all physical dims 1) to a scalar."""
-        mat = np.eye(1)
-        log = self.log_scale
-        for A in self.sites:
-            if A.shape[2] != 1:
-                raise ValueError("MPS still has open physical legs")
-            mat, log_factor = pow2_normalize(mat @ A[:, :, 0])
-            if not mat.any():
+    def meet(self, mpo: list, right: "MpsState") -> ContractionValue:
+        """Contract this MPS, one MPO column and the MPS right of it (legs
+        as this one's, its physical legs facing the column) to a scalar:
+        an exact transfer along the column, rescaled at each site.  The
+        column's bonds to this MPS are checked where it is built
+        (_column); its bonds to the right MPS are checked here."""
+        env = np.ones((1, 1, 1))  # (this MPS bond, column bond, right MPS bond)
+        log = self.log_scale + right.log_scale
+        for A, W, B in zip(self.sites, mpo, right.sites):
+            if W.shape[3] != B.shape[2]:
+                raise ValueError("grid bond mismatch entering the middle column")
+            T = np.tensordot(env, A, axes=([0], [0]))  # (d, b, a, p)
+            T = np.tensordot(T, W, axes=([0, 3], [0, 2]))  # (b, a, u, q)
+            env, log_factor = pow2_normalize(np.tensordot(T, B, axes=([0, 3], [0, 2])))
+            if not env.any():
                 return ContractionValue(0.0)
             log += log_factor
-        return ContractionValue.from_float(float(mat[0, 0]), log)
+        return ContractionValue.from_float(float(env[0, 0, 0]), log)
 
 
 def _partners(net: TensorNetwork):
@@ -253,30 +290,45 @@ def _simplified(net: TensorNetwork):
     return work, ContractionValue.from_float(value, work.log_scale)
 
 
+def _column(grid, x, ys, mps: MpsState, swap: bool) -> list:
+    """Column x of the grid as an MPO facing mps; swap exchanges each
+    tensor's left and right legs, for an MPS coming from the right."""
+    mpo = []
+    for i, y in enumerate(ys):
+        if (x, y) in grid:
+            arr = grid[(x, y)].transpose(0, 1, 3, 2) if swap else grid[(x, y)]
+            if arr.shape[2] != mps.sites[i].shape[2]:
+                raise ValueError("grid bond mismatch entering column")
+            mpo.append(arr)
+        else:
+            if mps.sites[i].shape[2] != 1:
+                raise ValueError("bond crosses an empty grid position")
+            mpo.append(np.ones((1, 1, 1, 1)))
+    return mpo
+
+
 def mps_contract_2d(net: TensorNetwork, chi: int) -> ContractionValue:
-    """Contract a closed planar grid network with a boundary MPS of bond
-    dimension at most chi, sweeping across columns in x order."""
+    """Contract a closed planar grid network with two boundary MPSs of bond
+    dimension at most chi that meet at the middle column.
+
+    Of the n columns in x order, one MPS zips the first n // 2 from the
+    left and the other the last n - n // 2 - 1 from the right (left and
+    right legs swapped), drawing sketches from one generator in that
+    order; MpsState.meet then contracts the middle column between them
+    exactly."""
     work, value = _simplified(net)
     if value is not None:
         return value
     rng = np.random.default_rng(SKETCH_SEED)
     xs, ys, grid = _grid_tensors_2d(work)
-    mps = MpsState.product([1] * len(ys), chi)
-    mps.log_scale = work.log_scale
-    for x in xs:
-        mpo = []
-        for i, y in enumerate(ys):
-            if (x, y) in grid:
-                arr = grid[(x, y)]
-                if arr.shape[2] != mps.sites[i].shape[2]:
-                    raise ValueError("grid bond mismatch entering column")
-                mpo.append(arr)
-            else:
-                if mps.sites[i].shape[2] != 1:
-                    raise ValueError("bond crosses an empty grid position")
-                mpo.append(np.ones((1, 1, 1, 1)))
-        mps.apply_mpo_zip(mpo, rng)
-    return mps.close()
+    mid = len(xs) // 2
+    left = MpsState.product([1] * len(ys), chi)
+    right = MpsState.product([1] * len(ys), chi)
+    left.log_scale = work.log_scale
+    for mps, cols, swap in ((left, xs[:mid], False), (right, xs[:mid:-1], True)):
+        for x in cols:
+            mps.apply_mpo_zip(_column(grid, x, ys, mps, swap), rng)
+    return left.meet(_column(grid, xs[mid], ys, left, False), right)
 
 
 # ---------------------------------------------------------------------------

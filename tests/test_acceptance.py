@@ -236,12 +236,15 @@ def test_acceptance_08_depolarizing_threshold():
     if not os.path.exists(os.path.join(RESULTS, "depol_d5.csv")):
         pytest.fail(
             "depolarizing d=5 campaign data is absent: each shot takes "
-            "~21.8 s single-threaded at (chi_peps, chi_split, chi_mps) = "
-            "(20, 4, 64), so 7 grid points x 10^4 shots is ~18 CPU-days.  "
+            "~9.7 s single-threaded at (chi_peps, chi_split, chi_mps) = "
+            "(20, 4, 64), so 7 grid points x 10^4 shots is ~8 CPU-days; "
+            "its decisions there equal those at chi_mps 128 on 50 shots "
+            "(ROADMAP item 3).  "
             "Launch with: python3 tools/run_thresholds.py depol 5 "
             "--out results/depol_d5.csv (results/depol_d3.csv is also "
-            "unfinished: python3 tools/run_thresholds.py depol 3 "
-            "--out results/depol_d3.csv)"
+            "unfinished, and its first row no longer reproduces: start "
+            "python3 tools/run_thresholds.py depol 3 --out NEW.csv and let "
+            "it replace results/depol_d3.csv)"
         )
     check_crossing("depol", ps, (0.063, 0.075))
 

@@ -1,5 +1,6 @@
 """Campaign tools under tools/: the exact-ML table behind the smoke check,
 and the resume check of the threshold campaigns."""
+import hashlib
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ TOOLS = os.path.join(ROOT, "tools")
 sys.path.insert(0, TOOLS)
 
 from check_smoke_ml import class_prob_table  # noqa: E402
+from value_digest import digest  # noqa: E402
 
 
 def test_class_prob_table_matches_subset_enumeration():
@@ -98,3 +100,27 @@ def test_value_digest_prints_one_digest_per_workload():
     lines = res.stdout.split("\n")[:-1]
     assert [line.split()[0] for line in lines] == ["point-d5", "depol-d3", "dem-d3"]
     assert all(len(line.split()[1]) == 64 for line in lines)
+
+
+def test_value_digest_decisions_mode_hashes_only_the_decided_classes():
+    # a boundary MPS at chi 2 moves the class values of these shots but not
+    # their decisions: the value digests differ, the decision digests agree
+    from tndecode import harness
+    from tndecode.codes import surface_code_2d
+
+    problem = harness.CssSectorProblem(surface_code_2d(5), "x", 0.1, "detector")
+    low, high = (harness.ContractionConfig(engine="mps", chi_mps=chi) for chi in (2, 64))
+    assert digest(harness, problem, low, 6, 1, False) != digest(harness, problem, high, 6, 1, False)
+    chosen = digest(harness, problem, low, 6, 1, True)
+    assert chosen == digest(harness, problem, high, 6, 1, True)
+    decided = "".join(f"{harness._decide(problem, m, high)}\n"
+                      for _, m in harness.sample_errors(problem, 6, 1))
+    assert chosen == hashlib.sha256(decided.encode()).hexdigest()
+    res = subprocess.run(
+        [sys.executable, os.path.join(TOOLS, "value_digest.py"), "--quick", "--shots", "2",
+         "--decisions"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.split("\n")[:-1]
+    assert [line.split()[0] for line in lines] == ["point-d5", "depol-d3", "dem-d3"]

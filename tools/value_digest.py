@@ -4,14 +4,18 @@
     python3 tools/value_digest.py                 # bench sizes, 6 shots each
     python3 tools/value_digest.py --quick         # tiny sizes, seconds
     python3 tools/value_digest.py --src OTHER/src # another checkout's package
+    python3 tools/value_digest.py --decisions     # only the decided classes
 
 For each workload of bench/workloads.py it decodes the first --shots shots
 of workloads.DEFAULT_SEED at the workload's timed chi and prints one line
 "<workload> <sha256>".  The digest covers, per shot, every class value of
 harness.decode (mantissa and log_scale as float hex) and the class
 harness._decide chooses.  Two checkouts that print the same digests
-computed the same bits on those shots.  BLAS runs on one thread, as in the
-benchmark; the tool only reads bench/ and writes nothing.
+computed the same bits on those shots.  With --decisions the digest
+covers only the classes harness._decide chooses, so a kernel that moves
+values can still show that it decides every shot as another checkout
+does.  BLAS runs on one thread, as in the benchmark; the tool only reads
+bench/ and writes nothing.
 """
 import argparse
 import hashlib
@@ -24,11 +28,13 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def digest(harness, problem, config, shots: int, seed: int) -> str:
+def digest(harness, problem, config, shots: int, seed: int, decisions: bool) -> str:
     h = hashlib.sha256()
     for _, m in harness.sample_errors(problem, shots, seed):
-        values = harness.decode(problem, m, config).class_values
-        fields = [f"{v.mantissa.hex()},{v.log_scale.hex()}" for v in values]
+        fields = []
+        if not decisions:
+            values = harness.decode(problem, m, config).class_values
+            fields = [f"{v.mantissa.hex()},{v.log_scale.hex()}" for v in values]
         fields.append(str(harness._decide(problem, m, config)))
         h.update((";".join(fields) + "\n").encode())
     return h.hexdigest()
@@ -37,6 +43,8 @@ def digest(harness, problem, config, shots: int, seed: int) -> str:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true", help="tiny workload sizes")
+    ap.add_argument("--decisions", action="store_true",
+                    help="digest only the decided classes, not the values")
     ap.add_argument("--shots", type=int, default=6, help="leading shots per workload")
     ap.add_argument("--src", default=os.path.join(ROOT, "src"),
                     help="directory holding the tndecode package")
@@ -48,8 +56,8 @@ def main() -> None:
 
     for name, wl in WORKLOADS.items():
         problem = wl.build(ROOT, args.quick)
-        print(name, digest(harness, problem, config(wl.chi), args.shots, DEFAULT_SEED),
-              flush=True)
+        print(name, digest(harness, problem, config(wl.chi), args.shots, DEFAULT_SEED,
+                           args.decisions), flush=True)
 
 
 if __name__ == "__main__":
