@@ -22,16 +22,18 @@ applied to a 2D carrier state with simple-update truncation (per-bond
 Vidal-gauge lambda vectors), and the final 2D network is handed to the
 boundary MPS.
 
-What the sweep derives before its first step is a SweepPlan: the planes
-in sweep order with the bond-plane matrices folded above each, the
-rank-compressed grid, each site's leg order and reshape, the SVD split of
-each dense site and the SVD factors of each gate.  It depends only on the
-network's shape and on the entries of its dense sites and edge tensors.
-The Monte Carlo shots of one problem share all of that and differ in the
-parity weights of the eq/par sites, so sweep_contract_3d keeps the
-PLAN_CACHE_SIZE most recently used plans and, per shot, re-reads only the
-eq/par sites and bond-plane matrices, re-splitting just the dense sites
-whose entries changed.  A cached plan's arrays are read-only.
+A sweep memoizes (_memo) what it derives from the network, with three
+kinds of entry: the layout of the planes (the bond-plane matrices folded
+above each, the rank-compressed grid, each site's leg order and reshape),
+keyed by the network's shape; the SVD split of each dense site, keyed by
+chi_split and the bits of its residual; and the SVD factors of each gate,
+keyed by the bits of its edge tensor and the split keys of its two ends.
+The Monte Carlo shots of one problem share most of these and differ in
+the parity weights of the eq/par sites, which are read per shot;
+identical sites and gates share one SVD.  Equal inputs go through equal
+operations, so a memoized entry has the bits a fresh one would.  An entry
+stays while one of the last PLAN_CACHE_SIZE sweeps used it, and its
+arrays are read-only.
 
 Singular values below the relative cutoff CUTOFF are always discarded,
 so exact rank structure is preserved without noise amplification; the chi
@@ -338,19 +340,41 @@ def mps_contract_2d(net: TensorNetwork, chi: int) -> ContractionValue:
 # site tensors can legitimately exceed the exact-contraction densify cap
 # at large bond dimension; 2^26 floats is still only 0.5 GB
 SITE_DENSIFY_CAP = 1 << 26
-PLAN_CACHE_SIZE = 8  # sweep plans kept, the least recently used dropped first
-_PLANS: list = []  # the cached SweepPlans, least recently used first
+PLAN_CACHE_SIZE = 8  # sweeps whose layouts, splits and gate factors stay memoized
+_MEMO: dict = {}  # memo key -> sweep layout, dense-site split or BondGate
+_USED: list = []  # the memo keys each of the last PLAN_CACHE_SIZE sweeps used, oldest first
+
+
+def _memo_sweep() -> None:
+    """Start a sweep's record of the memo keys it uses, and drop every entry
+    that none of the last PLAN_CACHE_SIZE sweeps, this one included, used.
+    Pruning as a sweep starts keeps the memo bounded when sweeps raise."""
+    _USED.append(set())
+    del _USED[:-PLAN_CACHE_SIZE]
+    live = set().union(*_USED)
+    for key in [k for k in _MEMO if k not in live]:
+        del _MEMO[key]
+
+
+def _memo(key, make, *args):
+    """The memo entry at key, made as make(*args) when absent, and recorded
+    as used by the current sweep."""
+    _USED[-1].add(key)
+    if key not in _MEMO:
+        _MEMO[key] = make(*args)
+    return _MEMO[key]
+
+
+def _bits(a: np.ndarray) -> tuple:
+    """A key of an array's dtype, shape and bits (so -0.0 differs from 0.0)."""
+    return a.dtype.str, a.shape, a.tobytes()
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    """a, made read-only: a plan's arrays serve every later shot."""
+    """a, made read-only: a memo entry serves every later sweep that has
+    the same inputs."""
     a.flags.writeable = False
     return a
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two float arrays hold the same bits (so -0.0 differs from 0.0)."""
-    return a.shape == b.shape and bool((a.view(np.int64) == b.view(np.int64)).all())
 
 
 class BondGate(NamedTuple):
@@ -425,10 +449,24 @@ def _split_site(arr: np.ndarray, chi_split: int):
     return _frozen(arr), tuple(factors)
 
 
-def _build_gate(c1, e_mat, c2, bond_dim):
-    mid = e_mat if e_mat is not None else np.eye(bond_dim)
-    left = mid if c1 is None else c1.T @ mid
-    return left if c2 is None else left @ c2
+def _bond_gate(g: _Gate, work: TensorNetwork, splits: dict) -> BondGate:
+    """The BondGate of g, from the memo.  Its matrix is c1^T E c2: the edge
+    tensor E (the identity on a direct bond) between the factors c1 and c2
+    that the splits of the two ends give their gate axes; an end that is
+    not a dense site has no factor.  splits maps each dense site's tid to
+    its split key and factors, so the gate's key is E's bits and the split
+    key and axis of each end."""
+    edge = None if g.edge is None else work.tensors[g.edge].densify()
+    key = ("gate", g.dim, g.edge_t, None if edge is None else _bits(edge),
+           *((splits[tid][0], ax) if tid in splits else None for tid, ax in g.ends))
+
+    def make():
+        mat = np.eye(g.dim) if edge is None else edge.T if g.edge_t else edge
+        c1, c2 = (splits[tid][1][ax] if tid in splits else None for tid, ax in g.ends)
+        mat = mat if c1 is None else c1.T @ mat
+        return BondGate.of(mat if c2 is None else mat @ c2)
+
+    return _memo(key, make)
 
 
 def _plane_layout(net, tids, partners, a, reverse):
@@ -571,119 +609,14 @@ def _sweep_layout(work: TensorNetwork, reverse: bool):
     return planes_out, sorted(rpos(p) for p in positions)
 
 
-def _shape_key(work: TensorNetwork, chi_split: int, reverse: bool) -> tuple:
-    """What a sweep plan depends on besides tensor values: each tensor's
-    id, kind, legs, coordinate and dense shape, chi_split and reverse."""
-    return (chi_split, reverse) + tuple(
+def _shape_key(work: TensorNetwork, reverse: bool) -> tuple:
+    """The memo key of a sweep layout, which depends on the network's shape
+    alone: each tensor's id, kind, legs, coordinate and dense shape, and
+    reverse."""
+    return ("layout", reverse) + tuple(
         (tid, t.kind, tuple(t.legs), work.coords.get(tid),
          t.values.shape if t.kind == "dense" else None)
         for tid, t in sorted(work.tensors.items()))
-
-
-def _plan_inputs(planes, work: TensorNetwork) -> dict:
-    """The arrays a plan's splits and gates are computed from, by tensor
-    id: each dense site's values and each edge tensor's entries."""
-    out = {}
-    for plane in planes:
-        for site in plane.sites.values():
-            if site.dense:
-                out[site.tid] = work.tensors[site.tid].densify(SITE_DENSIFY_CAP)
-        for g in plane.gates:
-            if g.edge is not None:
-                out[g.edge] = work.tensors[g.edge].densify()
-    return out
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class SweepPlan:
-    """What a 3D sweep derives before it absorbs the first residual.
-
-    planes and positions come from the network's shape (key); inputs holds
-    the arrays of the dense sites and edge tensors, splits the
-    _split_site result (residual, factors) of each dense site, and gates
-    the BondGate of each (plane index, gate key).  Every array is
-    read-only.  The eq/par sites and the bond-plane matrices are not part
-    of it: they carry the shot's parity weights and are read per shot.
-    """
-
-    key: tuple
-    planes: tuple
-    positions: list
-    inputs: dict
-    splits: dict
-    gates: dict
-
-    @classmethod
-    def build(cls, key, planes, positions, inputs, base=None) -> "SweepPlan":
-        """The plan of planes for these input arrays.  Splits and gates
-        whose inputs have the same bits as in base (a plan of the same
-        key) are taken from it; the others are computed."""
-        chi_split = key[0]  # _shape_key puts chi_split first
-        changed = {tid for tid, a in inputs.items()
-                   if base is None or not _same_bits(base.inputs[tid], a)}
-        inputs = {tid: _frozen(a) if tid in changed else base.inputs[tid]
-                  for tid, a in inputs.items()}
-        splits, gates = {}, {}
-        for i, plane in enumerate(planes):
-            for site in plane.sites.values():
-                if not site.dense:
-                    continue
-                if site.tid in changed:
-                    arr = np.transpose(inputs[site.tid], site.perm).reshape(site.shape)
-                    splits[site.tid] = _split_site(arr, chi_split)
-                else:
-                    splits[site.tid] = base.splits[site.tid]
-            for g in plane.gates:
-                if base is None or {g.edge, *(tid for tid, _ax in g.ends)} & changed:
-                    emat = None
-                    if g.edge is not None:
-                        emat = inputs[g.edge].T if g.edge_t else inputs[g.edge]
-                    (t1, ax1), (t2, ax2) = g.ends
-                    c1 = splits[t1][1][ax1] if t1 in splits else None
-                    c2 = splits[t2][1][ax2] if t2 in splits else None
-                    gates[i, g.key] = BondGate.of(_build_gate(c1, emat, c2, g.dim))
-                else:
-                    gates[i, g.key] = base.gates[i, g.key]
-        return cls(key, planes, positions, inputs, splits, gates)
-
-    def made_from(self, inputs: dict) -> bool:
-        """Whether these input arrays have the bits the plan was built from."""
-        return all(_same_bits(self.inputs[tid], a) for tid, a in inputs.items())
-
-    def residual(self, site: _Site, work: TensorNetwork) -> np.ndarray:
-        """The residual array of a site for the shot whose network is work."""
-        if site.dense:
-            return self.splits[site.tid][0]
-        arr = np.transpose(work.tensors[site.tid].densify(SITE_DENSIFY_CAP), site.perm)
-        return arr.reshape(site.shape)
-
-
-def _sweep_plan(work: TensorNetwork, chi_split: int, reverse: bool) -> SweepPlan:
-    """The plan of a sweep of work, from the bounded LRU of plans.
-
-    A cached plan of the same shape key made from the same input bits is
-    used as it is.  Otherwise the most recently used plan of that key is
-    the base of a new one, which shares its layout and every split and
-    gate whose inputs did not change; without one the layout is made from
-    work.  Plans of one key coexist: the WHT settings of a shot share a
-    shape and differ in their signed dense sites."""
-    key = _shape_key(work, chi_split, reverse)
-    same = [i for i in reversed(range(len(_PLANS))) if _PLANS[i].key == key]
-    if same:
-        base = _PLANS[same[0]]
-        planes, positions = base.planes, base.positions
-        inputs = _plan_inputs(planes, work)
-        for i in same:
-            if _PLANS[i].made_from(inputs):
-                _PLANS.append(_PLANS.pop(i))
-                return _PLANS[-1]
-    else:
-        base = None
-        planes, positions = _sweep_layout(work, reverse)
-        inputs = _plan_inputs(planes, work)
-    _PLANS.append(SweepPlan.build(key, planes, positions, inputs, base))
-    del _PLANS[:-PLAN_CACHE_SIZE]
-    return _PLANS[-1]
 
 
 class LatticeState:
@@ -896,24 +829,35 @@ def sweep_contract_3d(net: TensorNetwork, chi_peps: int, chi_split: int,
     chi_peps.  The remaining 2D network goes to the boundary MPS at
     chi_mps.
 
-    The decomposition is a SweepPlan, taken from a bounded cache keyed by
-    the simplified network's shape (_sweep_plan): a shot whose dense sites
-    and edge tensors repeat reuses their splits and gate factors, and only
-    the eq/par sites and bond-plane matrices, which carry the parity
-    weights, are read from the network.  Reused or recomputed, the same
-    inputs go through the same operations, so the value has the same bits.
+    The layout of the planes, the split of each dense site and the SVD
+    factors of each gate come from the memo (_memo), keyed by the
+    simplified network's shape and by the bits of each split's and each
+    gate's inputs; every residual is read in one loop before the first
+    step.  Memoized or made afresh, equal inputs go through equal
+    operations, so the value has the same bits.
     """
     work, value = _simplified(net)
     if value is not None:
         return value
-    plan = _sweep_plan(work, chi_split, reverse)
-    state = SweepState(plan.positions)
+    _memo_sweep()
+    planes, positions = _memo(_shape_key(work, reverse), _sweep_layout, work, reverse)
+    residuals, splits = {}, {}  # by tid; splits: dense tid -> (split key, factors)
+    for plane in planes:
+        for site in plane.sites.values():
+            arr = np.transpose(work.tensors[site.tid].densify(SITE_DENSIFY_CAP), site.perm)
+            arr = arr.reshape(site.shape)
+            if site.dense:
+                key = ("split", chi_split, _bits(arr))
+                arr, factors = _memo(key, _split_site, arr, chi_split)
+                splits[site.tid] = key, factors
+            residuals[site.tid] = arr
+    state = SweepState(positions)
     state.log_scale = work.log_scale
 
     carry: dict = {}
-    for i, plane in enumerate(plan.planes):
+    for plane in planes:
         for pos, site in plane.sites.items():
-            arr = plan.residual(site, work)
+            arr = residuals[site.tid]
             A = state.sites[pos]
             mat = carry.pop(pos, None)
             if mat is not None:
@@ -939,7 +883,7 @@ def sweep_contract_3d(net: TensorNetwork, chi_peps: int, chi_split: int,
                     state.sites[pos] = np.moveaxis(state.sites[pos], 5 + idx, 5)
                     pending[pos].remove(g.key)
                     pending[pos].insert(0, g.key)
-            state.apply_bond_gate(g.p1, g.p2, plan.gates[i, g.key], chi_peps)
+            state.apply_bond_gate(g.p1, g.p2, _bond_gate(g, work, splits), chi_peps)
             pending[g.p1].remove(g.key)
             pending[g.p2].remove(g.key)
         carry = {pos: np.transpose(work.tensors[tid].densify(), perm)

@@ -323,6 +323,12 @@ def count_failures(problem, config: ContractionConfig, seed: int, spans,
             yield pool.imap(_worker_span_failures, spans)
 
 
+# binomial parametric bootstrap of estimate_crossing
+BOOTSTRAP_REPLICAS = 400
+BOOTSTRAP_SEED = 20220901
+BOOTSTRAP_LEVEL = 0.95  # coverage of the crossing interval
+
+
 @dataclass
 class CrossingEstimate:
     found: bool
@@ -352,39 +358,31 @@ def _polyline_crossing(ps, r1, r2):
     return None
 
 
-def estimate_crossing(
-    ps,
-    curves: dict,
-    shots: int,
-    replicas: int = 400,
-    seed: int = 20220901,
-    level: float = 0.95,
-) -> CrossingEstimate:
+def estimate_crossing(ps, curves: dict, shots: int) -> CrossingEstimate:
     """Threshold estimate from logical-error-rate curves of two distances.
 
     curves maps distance -> list of rates on the common p grid; shots is
     the sample size of every point.  The central estimate is the
     linear-interpolation crossing; the interval comes from
     a binomial parametric bootstrap (resampling failure counts at the
-    observed rates) with at least 200 replicas.
+    observed rates) of BOOTSTRAP_REPLICAS replicas.
     """
     if len(curves) != 2:
         raise ValueError("crossing estimation needs exactly two distances")
     if len(ps) < 3:
         raise ValueError("need at least three grid points")
-    if replicas < 200:
-        raise ValueError("use at least 200 bootstrap replicas")
     (_, r1), (_, r2) = sorted(curves.items())
     center = _polyline_crossing(ps, r1, r2)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
     found = []
-    for _ in range(replicas):
+    for _ in range(BOOTSTRAP_REPLICAS):
         b1 = rng.binomial(shots, r1) / shots
         b2 = rng.binomial(shots, r2) / shots
         c = _polyline_crossing(ps, b1, b2)
         if c is not None:
             found.append(c)
-    if center is None or len(found) < replicas // 2:
-        return CrossingEstimate(False, None, None, len(found), replicas)
-    lo, hi = np.percentile(found, [(1 - level) / 2 * 100, (1 + level) / 2 * 100])
-    return CrossingEstimate(True, center, (float(lo), float(hi)), len(found), replicas)
+    if center is None or len(found) < BOOTSTRAP_REPLICAS // 2:
+        return CrossingEstimate(False, None, None, len(found), BOOTSTRAP_REPLICAS)
+    lo, hi = np.percentile(found, [(1 - BOOTSTRAP_LEVEL) / 2 * 100,
+                                   (1 + BOOTSTRAP_LEVEL) / 2 * 100])
+    return CrossingEstimate(True, center, (float(lo), float(hi)), len(found), BOOTSTRAP_REPLICAS)

@@ -72,11 +72,6 @@ class ContractionValue:
             return -math.inf
         return math.log(abs(self.mantissa)) + self.log_scale
 
-    def scaled(self, log_factor: float) -> "ContractionValue":
-        if self.mantissa == 0.0:
-            return self
-        return ContractionValue(self.mantissa, self.log_scale + log_factor)
-
     def ratio_to(self, other: "ContractionValue") -> float:
         """self / other as a plain float (other must be nonzero)."""
         return (self.mantissa / other.mantissa) * math.exp(

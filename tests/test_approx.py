@@ -604,14 +604,19 @@ def test_truncate_bond_full_rank_exact_with_spread_outer_weights():
 
 
 # ---------------------------------------------------------------------------
-# sweep plan cache
+# sweep memo: layouts, dense-site splits and gate factors
+
+
+def _clear_memo():
+    approx._MEMO.clear()
+    approx._USED.clear()
 
 
 @pytest.fixture()
 def cold_plans():
-    approx._PLANS.clear()
+    _clear_memo()
     yield
-    approx._PLANS.clear()
+    _clear_memo()
 
 
 def _value_bits(problem, m, config):
@@ -622,7 +627,7 @@ def _value_bits(problem, m, config):
 
 
 def _cold_value_bits(problem, m, config):
-    approx._PLANS.clear()
+    _clear_memo()
     return _value_bits(problem, m, config)
 
 
@@ -644,12 +649,52 @@ def split_calls(monkeypatch):
     calls = []
     split_site = approx._split_site
 
-    def counted(*args):
-        calls.append(None)
-        return split_site(*args)
+    def counted(arr, chi_split):
+        calls.append((chi_split, arr.shape, arr.tobytes()))
+        return split_site(arr, chi_split)
 
     monkeypatch.setattr(approx, "_split_site", counted)
     return calls
+
+
+@pytest.fixture()
+def gate_calls(monkeypatch):
+    calls = []
+    of = BondGate.of.__func__
+
+    def counted(cls, mat):
+        calls.append((mat.shape, mat.tobytes()))
+        return of(cls, mat)
+
+    monkeypatch.setattr(BondGate, "of", classmethod(counted))
+    return calls
+
+
+@pytest.fixture()
+def memo_keys(monkeypatch):
+    """The memo keys each sweep used, one set per sweep that reached the
+    memo (a network that simplify absorbs whole never does)."""
+    from tndecode import harness
+
+    used = []
+    memo, sweep = approx._memo, approx.sweep_contract_3d
+
+    def recording(key, make, *args):
+        used[-1].add(key)
+        return memo(key, make, *args)
+
+    def opened(*args, **kwargs):
+        used.append(set())
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(approx, "_memo", recording)
+    for module in (approx, harness):
+        monkeypatch.setattr(module, "sweep_contract_3d", opened)
+    return lambda: [keys for keys in used if keys]
+
+
+def _live_keys(sweeps):
+    return set().union(*sweeps[-approx.PLAN_CACHE_SIZE:])
 
 
 def test_warm_plan_cache_gives_cold_cache_bits(cold_plans, split_calls):
@@ -680,12 +725,29 @@ def test_plan_cache_resplits_when_dense_values_change(cold_plans, split_calls):
     cold = [_cold_value_bits(prob, m, config) for prob, m in runs]
     cold_splits = len(split_calls)
     split_calls.clear()
-    approx._PLANS.clear()
+    _clear_memo()
     assert [_value_bits(prob, m, config) for prob, m in runs] == cold
     assert 0 < len(split_calls) < cold_splits  # the warm run reused splits
 
 
-def test_plan_cache_stays_bounded_on_dem_syndromes(cold_plans, monkeypatch):
+def test_cold_memo_splits_and_factors_each_distinct_input_once(cold_plans, split_calls,
+                                                               gate_calls):
+    from tndecode.harness import ContractionConfig, CssSectorProblem, CubicDepolarizingProblem
+
+    config = ContractionConfig("sweep", chi_peps=6, chi_split=2, chi_mps=8)
+    # point d=3 has no dense site, so a gate's matrix is all of its input
+    point = CssSectorProblem(surface_code_3d(3), "z", 0.04, "detector")
+    _value_bits(point, _distinct_shots(point, 1, 4)[0], config)
+    assert len(gate_calls) == len(set(gate_calls)) == 1
+    assert not split_calls
+    _clear_memo()
+    depol = CubicDepolarizingProblem(surface_code_3d(2), 0.07)
+    for m in _distinct_shots(depol, 2, 3):
+        _value_bits(depol, m, config)
+    assert split_calls and len(split_calls) == len(set(split_calls))
+
+
+def test_plan_cache_stays_bounded_on_dem_syndromes(cold_plans, memo_keys):
     from tndecode import dem
     from tndecode.harness import ContractionConfig, DemProblem, _decide
 
@@ -695,19 +757,29 @@ def test_plan_cache_stays_bounded_on_dem_syndromes(cold_plans, monkeypatch):
     state = dem.compress_dem(dem.parse_dem(text), 16)
     problem = DemProblem(state.model,
                          network_builder=lambda mdl, m, ports: state.decoding_network(m, ports))
-    built = []
-    build = approx.SweepPlan.build.__func__
-
-    def counted(cls, *args):
-        built.append(None)
-        return build(cls, *args)
-
-    monkeypatch.setattr(approx.SweepPlan, "build", classmethod(counted))
     config = ContractionConfig("sweep", chi_peps=12, chi_split=8, chi_mps=16)
+    dropped = False
     for m in _distinct_shots(problem, 20, 5):
         _decide(problem, m, config)
-        assert len(approx._PLANS) <= approx.PLAN_CACHE_SIZE
-    assert len(built) > approx.PLAN_CACHE_SIZE  # plans were dropped
+        assert set(approx._MEMO) <= _live_keys(memo_keys())
+        dropped |= bool(set().union(*memo_keys()) - set(approx._MEMO))
+    assert dropped
+
+
+def test_memo_stays_bounded_when_sweeps_raise(cold_plans, memo_keys, monkeypatch):
+    def collapse(self, p1, p2, gate, chi):
+        raise FloatingPointError("zero-valued gate collapses the network")
+
+    monkeypatch.setattr(SweepState, "apply_bond_gate", collapse)
+    code = surface_code_3d(2)
+    m = np.zeros(code.h_x.shape[0] + code.h_z.shape[0], np.uint8)
+    for p in np.linspace(0.05, 0.1, approx.PLAN_CACHE_SIZE + 4):
+        net = build_detector_cubic_network(code, [depolarizing(p)] * code.n, m).networks()[1]
+        with pytest.raises(FloatingPointError):
+            approx.sweep_contract_3d(net, 6, 2, 8)
+        assert set(approx._MEMO) <= _live_keys(memo_keys())
+    assert len(memo_keys()) == approx.PLAN_CACHE_SIZE + 4
+    assert set().union(*memo_keys()) - set(approx._MEMO)  # entries were dropped
 
 
 def test_plan_arrays_are_read_only(cold_plans):
@@ -716,11 +788,12 @@ def test_plan_arrays_are_read_only(cold_plans):
     m[0] = 1
     net = build_detector_cubic_network(code, [depolarizing(0.07)] * code.n, m).networks()[1]
     sweep_contract_3d(net, 6, 2, 8)
-    (plan,) = approx._PLANS
-    arrays = list(plan.inputs.values()) + [g for gate in plan.gates.values() for g in gate]
-    for residual, factors in plan.splits.values():
+    splits = [v for key, v in approx._MEMO.items() if key[0] == "split"]
+    gates = [v for key, v in approx._MEMO.items() if key[0] == "gate"]
+    arrays = [a for gate in gates for a in gate]
+    for residual, factors in splits:
         arrays += [residual, *factors]
-    assert plan.splits and plan.gates
+    assert splits and gates
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
-        next(iter(plan.gates.values())).u[0, 0] = 1.0
+        gates[0].u[0, 0] = 1.0

@@ -26,7 +26,6 @@ def test_contraction_value_normalization():
     neg = ContractionValue.from_float(-6.5, log_scale=2.0)
     assert neg.value == pytest.approx(-6.5 * math.exp(2.0), rel=1e-14)
     assert neg.ratio_to(v) == pytest.approx(neg.value / v.value, rel=1e-14)
-    assert v.scaled(math.log(2.0)).value == pytest.approx(0.75, rel=1e-14)
 
 
 def test_from_float_rejects_non_finite():
