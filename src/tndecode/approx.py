@@ -22,18 +22,21 @@ applied to a 2D carrier state with simple-update truncation (per-bond
 Vidal-gauge lambda vectors), and the final 2D network is handed to the
 boundary MPS.
 
-A sweep memoizes (_memo) what it derives from the network, with three
+A sweep memoizes (_memo) what it derives from the network, with four
 kinds of entry: the layout of the planes (the bond-plane matrices folded
 above each, the rank-compressed grid, each site's leg order and reshape),
 keyed by the network's shape; the SVD split of each dense site, keyed by
-chi_split and the bits of its residual; and the SVD factors of each gate,
-keyed by the bits of its edge tensor and the split keys of its two ends.
-The Monte Carlo shots of one problem share most of these and differ in
-the parity weights of the eq/par sites, which are read per shot;
-identical sites and gates share one SVD.  Equal inputs go through equal
-operations, so a memoized entry has the bits a fresh one would.  An entry
-stays while one of the last PLAN_CACHE_SIZE sweeps used it, and its
-arrays are read-only.
+chi_split and the bits of its residual; the SVD factors of each gate,
+keyed by the bits of its edge tensor and the split keys of its two ends;
+and the carrier state after each plane, keyed by a chain of every input
+up to that plane.  The Monte Carlo shots of one problem share most of
+these and differ in the parity weights of the eq/par sites, which are
+read per shot; identical sites and gates share one SVD, and a shot whose
+syndrome agrees with an earlier one's on the first planes resumes the
+sweep above them.  Equal inputs go through equal operations (the simple
+update is deterministic), so a memoized entry has the bits a fresh one
+would.  An entry stays while one of the last PLAN_CACHE_SIZE sweeps used
+it, and its arrays are read-only.
 
 Singular values below the relative cutoff CUTOFF are always discarded,
 so exact rank structure is preserved without noise amplification; the chi
@@ -44,6 +47,7 @@ deterministic.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -340,8 +344,8 @@ def mps_contract_2d(net: TensorNetwork, chi: int) -> ContractionValue:
 # site tensors can legitimately exceed the exact-contraction densify cap
 # at large bond dimension; 2^26 floats is still only 0.5 GB
 SITE_DENSIFY_CAP = 1 << 26
-PLAN_CACHE_SIZE = 8  # sweeps whose layouts, splits and gate factors stay memoized
-_MEMO: dict = {}  # memo key -> sweep layout, dense-site split or BondGate
+PLAN_CACHE_SIZE = 8  # sweeps whose layouts, splits, gate factors and carrier states stay memoized
+_MEMO: dict = {}  # memo key -> sweep layout, dense-site split, BondGate or _Carrier
 _USED: list = []  # the memo keys each of the last PLAN_CACHE_SIZE sweeps used, oldest first
 
 
@@ -351,8 +355,9 @@ def _memo_sweep() -> None:
     Pruning as a sweep starts keeps the memo bounded when sweeps raise."""
     _USED.append(set())
     del _USED[:-PLAN_CACHE_SIZE]
-    live = set().union(*_USED)
-    for key in [k for k in _MEMO if k not in live]:
+    # set(_MEMO) and the difference reuse the stored hashes of the keys,
+    # whose nested tuples would cost microseconds each to hash again
+    for key in set(_MEMO).difference(*_USED):
         del _MEMO[key]
 
 
@@ -360,9 +365,10 @@ def _memo(key, make, *args):
     """The memo entry at key, made as make(*args) when absent, and recorded
     as used by the current sweep."""
     _USED[-1].add(key)
-    if key not in _MEMO:
-        _MEMO[key] = make(*args)
-    return _MEMO[key]
+    entry = _MEMO.get(key)
+    if entry is None:
+        entry = _MEMO[key] = make(*args)
+    return entry
 
 
 def _bits(a: np.ndarray) -> tuple:
@@ -435,6 +441,17 @@ class _Plane:
     above: tuple
 
 
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """The site planes of a sweep in sweep order and the sorted carrier
+    positions.  It compares and hashes by identity, so that while the memo
+    holds it, it stands for its layout key in the carrier-state keys at
+    the cost of a pointer."""
+
+    planes: tuple
+    positions: list
+
+
 def _split_site(arr: np.ndarray, chi_split: int):
     """Peel each in-plane axis (axis 2 on) of a dense site's residual array
     off by an SVD capped at chi_split: the residual (down, up, g...) and,
@@ -449,24 +466,24 @@ def _split_site(arr: np.ndarray, chi_split: int):
     return _frozen(arr), tuple(factors)
 
 
-def _bond_gate(g: _Gate, work: TensorNetwork, splits: dict) -> BondGate:
-    """The BondGate of g, from the memo.  Its matrix is c1^T E c2: the edge
-    tensor E (the identity on a direct bond) between the factors c1 and c2
-    that the splits of the two ends give their gate axes; an end that is
-    not a dense site has no factor.  splits maps each dense site's tid to
-    its split key and factors, so the gate's key is E's bits and the split
-    key and axis of each end."""
-    edge = None if g.edge is None else work.tensors[g.edge].densify()
-    key = ("gate", g.dim, g.edge_t, None if edge is None else _bits(edge),
-           *((splits[tid][0], ax) if tid in splits else None for tid, ax in g.ends))
+def _gate_key(g: _Gate, edge: np.ndarray | None, split_keys: dict) -> tuple:
+    """The memo key of g's BondGate: the bits of its edge tensor edge (None
+    on a direct bond), and the split key and axis of each end that is a
+    dense site (split_keys maps such a site's tid to its split key)."""
+    return ("gate", g.dim, g.edge_t, None if edge is None else _bits(edge),
+            *((split_keys[tid], ax) if tid in split_keys else None for tid, ax in g.ends))
 
-    def make():
-        mat = np.eye(g.dim) if edge is None else edge.T if g.edge_t else edge
-        c1, c2 = (splits[tid][1][ax] if tid in splits else None for tid, ax in g.ends)
-        mat = mat if c1 is None else c1.T @ mat
-        return BondGate.of(mat if c2 is None else mat @ c2)
 
-    return _memo(key, make)
+def _bond_gate(g: _Gate, edge: np.ndarray | None, splits: dict) -> BondGate:
+    """The BondGate of g, whose matrix is c1^T E c2: the edge tensor E (the
+    identity on a direct bond) between the factors c1 and c2 that the
+    splits of the two ends give their gate axes.  splits maps each dense
+    site's tid to its split; an end that is not a dense site has no
+    factor."""
+    mat = np.eye(g.dim) if edge is None else edge.T if g.edge_t else edge
+    c1, c2 = (splits[tid][1][ax] if tid in splits else None for tid, ax in g.ends)
+    mat = mat if c1 is None else c1.T @ mat
+    return BondGate.of(mat if c2 is None else mat @ c2)
 
 
 def _plane_layout(net, tids, partners, a, reverse):
@@ -547,7 +564,7 @@ def _plane_layout(net, tids, partners, a, reverse):
     return sites, gates
 
 
-def _sweep_layout(work: TensorNetwork, reverse: bool):
+def _sweep_layout(work: TensorNetwork, reverse: bool) -> _Layout:
     """The planes of a simplified 3D network in sweep order, with grid
     positions rank-compressed, and the sorted carrier positions.  Depends
     only on the network's shape, never on its values."""
@@ -606,7 +623,7 @@ def _sweep_layout(work: TensorNetwork, reverse: bool):
                tuple(replace(g, p1=rpos(g.p1), p2=rpos(g.p2)) for g in gates),
                tuple((rpos(p), tid, perm) for p, tid, perm in above))
         for sites, gates, above in laid)
-    return planes_out, sorted(rpos(p) for p in positions)
+    return _Layout(planes_out, sorted(rpos(p) for p in positions))
 
 
 def _shape_key(work: TensorNetwork, reverse: bool) -> tuple:
@@ -816,6 +833,73 @@ class SweepState(LatticeState):
         self.rescale(p2)
 
 
+class _Carrier:
+    """The memo entry of the carrier state after one plane.  Its key chains
+    the keys of the planes below through the entry of the plane below, by
+    identity.  state is None, a marker, until the key is seen a second
+    time; then it is a read-only copy of the state to resume from."""
+
+    __slots__ = ("state",)
+
+    def __init__(self):
+        self.state = None
+
+
+def _state_copy(state: SweepState) -> SweepState:
+    """A copy of state with its own site and lam dicts over the same arrays,
+    which become read-only.  The sweep replaces arrays and never writes
+    into them, so a state stays valid while it only shares them."""
+    out = copy.copy(state)
+    out.sites = {pos: _frozen(a) for pos, a in state.sites.items()}
+    out.lam = {bond: _frozen(v) for bond, v in state.lam.items()}
+    return out
+
+
+class _PlaneInputs(NamedTuple):
+    """What a sweep reads of one plane before the first step: each site's
+    residual by tid, the split key of each dense site, the dense edge
+    tensor (or None) and the memo key of each gate, the bond-plane
+    matrices folded above the plane by position, and the plane's carrier
+    entry, with whether its key was in the memo before this sweep."""
+
+    residuals: dict
+    split_keys: dict
+    edges: list
+    gate_keys: list
+    above: dict
+    carrier: _Carrier
+    seen: bool
+
+
+def _read_planes(work: TensorNetwork, planes, root: tuple, chi_split: int) -> list:
+    """Read every plane's inputs (_PlaneInputs), densifying each tensor once.
+    The carrier entry of plane i is keyed by the entry below it (root for
+    the first plane) and plane i's own part: the split key of each dense
+    site or the bits of any other residual, each gate's key, and the bits
+    of the bond-plane matrices above it."""
+    out, below = [], root
+    for plane in planes:
+        residuals, split_keys = {}, {}
+        for site in plane.sites.values():
+            arr = np.transpose(work.tensors[site.tid].densify(SITE_DENSIFY_CAP), site.perm)
+            residuals[site.tid] = arr = arr.reshape(site.shape)
+            if site.dense:
+                split_keys[site.tid] = ("split", chi_split, _bits(arr))
+        edges = [None if g.edge is None else work.tensors[g.edge].densify()
+                 for g in plane.gates]
+        gate_keys = [_gate_key(g, edge, split_keys) for g, edge in zip(plane.gates, edges)]
+        above = {pos: np.transpose(work.tensors[tid].densify(), perm)
+                 for pos, tid, perm in plane.above}
+        key = ("state", below,
+               tuple(split_keys[s.tid] if s.dense else _bits(residuals[s.tid])
+                     for s in plane.sites.values()),
+               tuple(gate_keys), tuple(_bits(m) for m in above.values()))
+        seen = key in _MEMO
+        below = _memo(key, _Carrier)
+        out.append(_PlaneInputs(residuals, split_keys, edges, gate_keys, above, below, seen))
+    return out
+
+
 def sweep_contract_3d(net: TensorNetwork, chi_peps: int, chi_split: int,
                       chi_mps: int, reverse: bool = False) -> ContractionValue:
     """Contract a layered 3D network by a plane-by-plane simple-update
@@ -829,35 +913,40 @@ def sweep_contract_3d(net: TensorNetwork, chi_peps: int, chi_split: int,
     chi_peps.  The remaining 2D network goes to the boundary MPS at
     chi_mps.
 
-    The layout of the planes, the split of each dense site and the SVD
-    factors of each gate come from the memo (_memo), keyed by the
-    simplified network's shape and by the bits of each split's and each
-    gate's inputs; every residual is read in one loop before the first
-    step.  Memoized or made afresh, equal inputs go through equal
+    Every input is read in one loop before the first step (_read_planes).
+    The layout of the planes, the split of each dense site, the SVD
+    factors of each gate and the carrier state after each plane come from
+    the memo (_memo).  The layout is keyed by the simplified network's
+    shape, a split or a gate by the bits of its inputs, and the state
+    after plane i by a chain of the layout key, chi_peps, the bits of the
+    network's log_scale and every input of planes 0..i.  The sweep resumes
+    from the deepest plane whose state the memo holds and runs only the
+    planes above it; a plane that runs stores its state when its key was
+    seen by an earlier sweep, so a state is kept only for an input prefix
+    that recurs.  Memoized or made afresh, equal inputs go through equal
     operations, so the value has the same bits.
     """
     work, value = _simplified(net)
     if value is not None:
         return value
     _memo_sweep()
-    planes, positions = _memo(_shape_key(work, reverse), _sweep_layout, work, reverse)
-    residuals, splits = {}, {}  # by tid; splits: dense tid -> (split key, factors)
-    for plane in planes:
-        for site in plane.sites.values():
-            arr = np.transpose(work.tensors[site.tid].densify(SITE_DENSIFY_CAP), site.perm)
-            arr = arr.reshape(site.shape)
-            if site.dense:
-                key = ("split", chi_split, _bits(arr))
-                arr, factors = _memo(key, _split_site, arr, chi_split)
-                splits[site.tid] = key, factors
-            residuals[site.tid] = arr
-    state = SweepState(positions)
-    state.log_scale = work.log_scale
-
-    carry: dict = {}
-    for plane in planes:
+    layout = _memo(_shape_key(work, reverse), _sweep_layout, work, reverse)
+    planes = layout.planes
+    reads = _read_planes(work, planes, (layout, chi_peps, float(work.log_scale).hex()),
+                         chi_split)
+    start = max((i + 1 for i, r in enumerate(reads) if r.carrier.state is not None), default=0)
+    if start:
+        state = _state_copy(reads[start - 1].carrier.state)
+        carry = reads[start - 1].above
+    else:
+        state = SweepState(layout.positions)
+        state.log_scale = work.log_scale
+        carry = {}
+    for plane, r in zip(planes[start:], reads[start:]):
+        splits = {tid: _memo(key, _split_site, r.residuals[tid], chi_split)
+                  for tid, key in r.split_keys.items()}
         for pos, site in plane.sites.items():
-            arr = residuals[site.tid]
+            arr = splits[site.tid][0] if site.dense else r.residuals[site.tid]
             A = state.sites[pos]
             mat = carry.pop(pos, None)
             if mat is not None:
@@ -876,18 +965,20 @@ def sweep_contract_3d(net: TensorNetwork, chi_peps: int, chi_split: int,
             if pos not in plane.sites and state.sites[pos].shape[4] != 1:
                 raise ValueError(f"open vertical leg at {pos} with no residual")
         pending = {pos: list(site.gates) for pos, site in plane.sites.items()}
-        for g in plane.gates:
+        for g, edge, key in zip(plane.gates, r.edges, r.gate_keys):
             for pos in (g.p1, g.p2):
                 idx = pending[pos].index(g.key)
                 if idx != 0:
                     state.sites[pos] = np.moveaxis(state.sites[pos], 5 + idx, 5)
                     pending[pos].remove(g.key)
                     pending[pos].insert(0, g.key)
-            state.apply_bond_gate(g.p1, g.p2, _bond_gate(g, work, splits), chi_peps)
+            state.apply_bond_gate(g.p1, g.p2, _memo(key, _bond_gate, g, edge, splits),
+                                  chi_peps)
             pending[g.p1].remove(g.key)
             pending[g.p2].remove(g.key)
-        carry = {pos: np.transpose(work.tensors[tid].densify(), perm)
-                 for pos, tid, perm in plane.above}
+        carry = r.above
+        if r.seen:
+            r.carrier.state = _state_copy(state)
     if carry:
         raise ValueError("bond plane beyond the last site plane")
     return mps_contract_2d(state.to_network(), chi_mps)

@@ -300,15 +300,20 @@ def test_sweep_3d_exact_on_d2_depolarizing():
         assert max_class_error(exact, approx) < 1e-8, trial
 
 
-def test_sweep_3d_determinism_and_reverse():
+def test_sweep_3d_determinism_and_reverse(cold_plans):
     code = surface_code_3d(2)
     dn = build_css_sector_network(
         code, "z", "detector", 0.05, np.zeros(code.h_x.shape[0], np.uint8))
     net = dn.networks()[0]  # batch variants are closed 3D networks
 
     a = sweep_contract_3d(net, 8, 4, 16)
+    _clear_memo()  # b computes every plane again rather than reading a's memo
     b = sweep_contract_3d(net, 8, 4, 16)
     assert a.mantissa == b.mantissa and a.log_abs == b.log_abs
+    # warm: the first stores the carrier states b's planes marked, the
+    # second resumes from the last of them
+    for c in (sweep_contract_3d(net, 8, 4, 16) for _ in range(2)):
+        assert c.mantissa == a.mantissa and c.log_abs == a.log_abs
     # top-down sweep of an exactly-contractable network agrees with bottom-up
     fwd = sweep_contract_3d(net, BIG, BIG, BIG)
     rev = sweep_contract_3d(net, BIG, BIG, BIG, reverse=True)
@@ -787,13 +792,171 @@ def test_plan_arrays_are_read_only(cold_plans):
     m = np.zeros(code.h_x.shape[0] + code.h_z.shape[0], np.uint8)
     m[0] = 1
     net = build_detector_cubic_network(code, [depolarizing(0.07)] * code.n, m).networks()[1]
-    sweep_contract_3d(net, 6, 2, 8)
+    for _ in range(2):  # the second sweep stores the carrier states
+        sweep_contract_3d(net, 6, 2, 8)
     splits = [v for key, v in approx._MEMO.items() if key[0] == "split"]
     gates = [v for key, v in approx._MEMO.items() if key[0] == "gate"]
+    states = [v.state for key, v in approx._MEMO.items() if key[0] == "state"]
     arrays = [a for gate in gates for a in gate]
     for residual, factors in splits:
         arrays += [residual, *factors]
-    assert splits and gates
+    for state in states:
+        arrays += [*state.sites.values(), *state.lam.values()]
+    assert splits and gates and states and all(state.lam for state in states[1:])
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         gates[0].u[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        next(iter(states[-1].lam.values()))[0] = 2.0
+
+
+# ---------------------------------------------------------------------------
+# sweep memo: carrier states after each plane
+
+
+@pytest.fixture()
+def resumed(monkeypatch):
+    """For each sweep that reached the memo, its _PlaneInputs and whether
+    the memo held each plane's carrier state as the sweep read it."""
+    sweeps = []
+    read = approx._read_planes
+
+    def recording(*args):
+        reads = read(*args)
+        sweeps.append((reads, [r.carrier.state is not None for r in reads]))
+        return reads
+
+    monkeypatch.setattr(approx, "_read_planes", recording)
+    return sweeps
+
+
+@pytest.fixture()
+def bond_gate_calls(monkeypatch):
+    calls = []
+    apply = SweepState.apply_bond_gate
+
+    def counted(self, p1, p2, gate, chi):
+        calls.append(gate.mat.tobytes())
+        return apply(self, p1, p2, gate, chi)
+
+    monkeypatch.setattr(SweepState, "apply_bond_gate", counted)
+    return calls
+
+
+def _layered_net(seed, planes=4, side=2):
+    """A closed network of random positive tensors with bonds of dimension
+    2.  At even first coordinates lie site planes: side x side dense sites,
+    joined along the second axis through 2x2 edge tensors and along the
+    third directly.  At odd ones lie bond planes: 2x2 matrices on the
+    vertical bonds between them."""
+    rng = np.random.default_rng(seed)
+    net = TensorNetwork()
+
+    def add(legs, coord):
+        net.add(Tensor.dense(rng.uniform(0.5, 1.5, [2] * len(legs)), legs), coord=coord)
+
+    for a in range(2 * planes - 1):
+        for x, y in np.ndindex(side, side):
+            legs = [f"v{b},{x},{y}" for b in (a - 1, a) if 0 <= b < 2 * planes - 2]
+            if a % 2 == 0:
+                legs += [f"e{a},{e},{y},{x}" for e in (x - 1, x) if 0 <= e < side - 1]
+                legs += [f"g{a},{x},{min(y, y + d)}" for d in (-1, 1) if 0 <= y + d < side]
+                if x < side - 1:
+                    add([f"e{a},{x},{y},{x}", f"e{a},{x},{y},{x + 1}"], (a, 2 * x + 1, 2 * y))
+            add(legs, (a, 2 * x, 2 * y))
+    return net
+
+
+def _bits_of(v):
+    return v.mantissa.hex(), v.log_scale.hex()
+
+
+def _changed(net, a, matrix):
+    """A copy of net with one entry changed in a tensor at first coordinate
+    a: a matrix (edge or bond-plane tensor) if matrix is set, else a site."""
+    out = net.copy()
+    t = out.tensors[min(tid for tid, t in out.tensors.items()
+                        if out.coords[tid][0] == a and (t.ndim == 2) == matrix)]
+    t.values[(0,) * t.ndim] += 0.25
+    return out
+
+
+def test_warm_memo_gives_cold_bits_with_fewer_gates_on_dem_syndromes(cold_plans, bond_gate_calls):
+    from tndecode import dem
+    from tndecode.harness import ContractionConfig, CubicDepolarizingProblem, DemProblem
+
+    text = "".join(f"error(0.02) D{a} L0\nerror(0.02) D{a} D{a + 1}\nerror(0.02) D{a + 1}\n"
+                   f"error(0.01) D{a} D{a + 2}\nerror(0.01) D{a + 1} D{a + 3}\n"
+                   for a in (0, 2)) + "error(0.02) D4 L0\nerror(0.02) D4 D5\nerror(0.02) D5\n"
+    state = dem.compress_dem(dem.parse_dem(text), 16)
+    toy = DemProblem(state.model,
+                     network_builder=lambda mdl, m, ports: state.decoding_network(m, ports))
+    depol = CubicDepolarizingProblem(surface_code_3d(2), 0.07)
+    config = ContractionConfig("sweep", chi_peps=6, chi_split=2, chi_mps=8)
+    syndromes = [np.zeros(6, np.uint8)] + list(np.eye(6, dtype=np.uint8)[[0, 3, 5]])
+    shots = []
+    for i, m in enumerate(_distinct_shots(depol, 6, 3)):
+        shots += [(toy, syndromes[i % 4]), (depol, m), (toy, syndromes[(i + 1) % 4])]
+    warm = [_value_bits(prob, m, config) for prob, m in shots]
+    warm_gates = len(bond_gate_calls)
+    bond_gate_calls.clear()
+    cold = [_cold_value_bits(prob, m, config) for prob, m in shots]
+    assert warm == cold
+    assert 0 < warm_gates < len(bond_gate_calls)
+
+
+def test_memo_resumes_below_the_first_changed_plane(cold_plans, resumed, bond_gate_calls):
+    # plane k is the site layer at 2k and the bond-plane matrices above it
+    net = _layered_net(1)
+    for _ in range(2):  # the second sweep stores every plane's state
+        sweep_contract_3d(net, 6, 2, 8)
+    assert resumed[0][1] == resumed[1][1] == [False] * 4
+    planes = next(v for key, v in approx._MEMO.items() if key[0] == "layout").planes
+    assert [len(p.above) for p in planes] == [4, 4, 4, 0]
+    assert all(sum(g.edge is not None for g in p.gates) == 2 for p in planes)
+    # a site or an in-plane edge tensor of layer 2k, or a bond-plane matrix above it
+    for k, a, matrix in ([(k, 2 * k, m) for k in range(4) for m in (False, True)]
+                         + [(k, 2 * k + 1, True) for k in range(3)]):
+        changed = _changed(net, a, matrix)
+        bond_gate_calls.clear()
+        got = _bits_of(sweep_contract_3d(changed, 6, 2, 8))
+        assert resumed[-1][1] == [True] * k + [False] * (4 - k), (a, matrix)
+        assert len(bond_gate_calls) == sum(len(p.gates) for p in planes[k:])
+        _clear_memo()
+        assert _bits_of(sweep_contract_3d(changed, 6, 2, 8)) == got
+        for _ in range(2):
+            sweep_contract_3d(net, 6, 2, 8)
+
+
+def test_memo_never_resumes_at_another_chi_peps_or_log_scale(cold_plans, resumed):
+    net = _layered_net(2)
+    scaled = net.copy()
+    scaled.add(Tensor.dense(np.array(2.0), []))  # simplify moves it into log_scale
+    values = [sweep_contract_3d(n, chi_peps, 2, 8)
+              for n, chi_peps in [(net, 6)] * 3 + [(net, 5)] * 2 + [(scaled, 6)] * 2]
+    assert [any(hits) for _reads, hits in resumed] == [False, False, True] + [False] * 4
+    assert abs(values[-1].ratio_to(values[0]) - 2.0) < 1e-12
+
+
+def test_sweep_that_raises_stores_no_state_from_its_plane_on(cold_plans, resumed,
+                                                            bond_gate_calls, monkeypatch):
+    net, k = _layered_net(3), 2
+    sweep_contract_3d(net, 6, 2, 8)
+    planes = next(v for key, v in approx._MEMO.items() if key[0] == "layout").planes
+    poison = bond_gate_calls[sum(len(p.gates) for p in planes[:k])]
+    assert bond_gate_calls.count(poison) == 1
+    apply = SweepState.apply_bond_gate
+
+    def collapse(self, p1, p2, gate, chi):
+        if gate.mat.tobytes() == poison:
+            raise FloatingPointError("zero-valued gate collapses the network")
+        return apply(self, p1, p2, gate, chi)
+
+    monkeypatch.setattr(SweepState, "apply_bond_gate", collapse)
+    _clear_memo()
+    for stored in (0, k, k):  # marks every plane, stores planes < k, resumes
+        with pytest.raises(FloatingPointError):
+            sweep_contract_3d(net, 6, 2, 8)
+        stores = [r.carrier.state is not None for r in resumed[-1][0]]
+        assert stores == [True] * stored + [False] * (4 - stored)
+    assert resumed[-1][1] == [True] * k + [False] * (4 - k)
