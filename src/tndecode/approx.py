@@ -16,16 +16,19 @@ against those sites as if they were right-orthonormal loses tens of nats
 on depolarizing d=5 networks at chi 64.
 
 sweep_contract_3d contracts a layered 3D network (3D integer coordinates,
-unit-step bonds) bottom-to-top along the first axis: each layer is
-decomposed into per-site residual tensors and two-site gates, gates are
-applied to a 2D carrier state with simple-update truncation (per-bond
-Vidal-gauge lambda vectors), and the final 2D network is handed to the
-boundary MPS.
+unit-step bonds) bottom-to-top along the first axis, one plane per value
+of that coordinate: each plane is decomposed into per-site residual
+tensors, whose vertical legs it absorbs into a 2D carrier state, and
+two-site gates, which it applies to that state with simple-update
+truncation (per-bond Vidal-gauge lambda vectors); the final 2D network is
+handed to the boundary MPS.  A plane of 2-leg vertical tensors is an
+ordinary plane whose residuals are matrices and which has no gates.
 
 A sweep memoizes (_memo) what it derives from the network, with four
-kinds of entry: the layout of the planes (the bond-plane matrices folded
-above each, the rank-compressed grid, each site's leg order and reshape),
-keyed by the network's shape; the SVD split of each dense site, keyed by
+kinds of entry: the layout of the planes (the rank-compressed grid, each
+site's leg order and reshape, each gate's ends and leg positions, all
+checked once for vertical legs that chain from plane to plane), keyed by
+the network's shape; the SVD split of each dense site, keyed by
 chi_split and the bits of its residual; the SVD factors of each gate,
 keyed by the bits of its edge tensor and the split keys of its two ends;
 and the carrier state after each plane, keyed by a chain of every input
@@ -405,13 +408,12 @@ class BondGate(NamedTuple):
 class _Site:
     """A residual site of a plane: tensor tid, read with its axes in perm
     order (down legs, up legs, in-plane legs) and reshaped to shape, (down,
-    up, g_1, ..., g_k); gates[i] names the gate that consumes axis g_i."""
+    up, g_1, ..., g_k)."""
 
     tid: int
     perm: tuple
     shape: tuple
     dense: bool
-    gates: tuple
 
 
 @dataclass(frozen=True)
@@ -419,12 +421,13 @@ class _Gate:
     """One in-plane connection of a plane.  It joins axis g_i of the
     residual at p1 to axis g_j of the one at p2, ends = ((tid1, i), (tid2,
     j)) by tensor id, directly on a bond of dimension dim or through the
-    2-leg edge tensor edge (transposed when edge_t)."""
+    2-leg edge tensor edge (transposed when edge_t).  axes holds the place
+    of its leg among the gate legs each end still has when it runs."""
 
-    key: int
     p1: tuple
     p2: tuple
     ends: tuple
+    axes: tuple
     edge: int | None
     edge_t: bool
     dim: int
@@ -432,18 +435,16 @@ class _Gate:
 
 @dataclass(frozen=True)
 class _Plane:
-    """A site plane: its sites by position, in position order, its gates in
-    application order, and the (pos, tid, perm) of each bond-plane matrix
-    folded into the vertical step above it."""
+    """A plane: its sites by position, in position order, and its gates in
+    application order."""
 
     sites: dict
     gates: tuple
-    above: tuple
 
 
 @dataclass(frozen=True, eq=False)
 class _Layout:
-    """The site planes of a sweep in sweep order and the sorted carrier
+    """The planes of a sweep in sweep order and the sorted carrier
     positions.  It compares and hashes by identity, so that while the memo
     holds it, it stands for its layout key in the carrier-state keys at
     the cost of a pointer."""
@@ -486,13 +487,13 @@ def _bond_gate(g: _Gate, edge: np.ndarray | None, splits: dict) -> BondGate:
     return BondGate.of(mat if c2 is None else mat @ c2)
 
 
-def _plane_layout(net, tids, partners, a, reverse):
+def _plane_layout(net, tids, partners, a):
     """Lay one plane out as residual sites and gates (grid positions as
     in net).
 
-    Vertical legs are bonds leaving the plane (the incoming sweep side is
-    'down').  2-leg tensors sitting at the midpoint between two in-plane
-    partners become edge tensors folded into gates.
+    Vertical legs are bonds leaving the plane, 'down' to a lower first
+    coordinate.  2-leg tensors sitting at the midpoint between two
+    in-plane partners become edge tensors folded into gates.
     """
     plane_set = set(tids)
     edge_tids = set()
@@ -520,7 +521,7 @@ def _plane_layout(net, tids, partners, a, reverse):
             pa = net.coords[p][0]
             if pa == a:
                 inplane.append(leg)
-            elif (pa < a) != reverse:
+            elif pa < a:
                 down.append(leg)
             else:
                 up.append(leg)
@@ -529,14 +530,15 @@ def _plane_layout(net, tids, partners, a, reverse):
             raise ValueError(f"two site tensors at plane {a} position {pos}")
         site_of[pos] = tid
         site_legs[tid] = (down, up, inplane)
-    # one gate per in-plane connection (through an edge tensor or direct);
-    # gate_of maps each (site, in-plane leg) to the key of its gate
+    # one gate per in-plane connection (through an edge tensor or direct),
+    # run in this order; pending holds the in-plane legs of each site that
+    # no earlier gate consumed, in the order of its gate axes
+    pending = {tid: list(legs[2]) for tid, legs in site_legs.items()}
     gates = []
-    gate_of = {}
     for pos in sorted(site_of):
         tid = site_of[pos]
         for leg in site_legs[tid][2]:
-            if (tid, leg) in gate_of:
+            if leg not in pending[tid]:
                 continue
             p = partners[(tid, leg)]
             edge, edge_t, t2, l2 = None, False, p, leg
@@ -548,9 +550,11 @@ def _plane_layout(net, tids, partners, a, reverse):
                 edge, edge_t, l2 = p, et.legs.index(leg) == 1, other[0]
                 t2 = partners[(p, l2)]
             ends = ((tid, site_legs[tid][2].index(leg)), (t2, site_legs[t2][2].index(l2)))
-            gates.append(_Gate(len(gates), pos, tuple(net.coords[t2])[1:], ends,
+            axes = (pending[tid].index(leg), pending[t2].index(l2))
+            pending[tid].remove(leg)
+            pending[t2].remove(l2)
+            gates.append(_Gate(pos, tuple(net.coords[t2])[1:], ends, axes,
                                edge, edge_t, net.tensors[tid].dim(leg)))
-            gate_of[tid, leg] = gate_of[t2, l2] = gates[-1].key
     sites = {}
     for pos in sorted(site_of):
         tid = site_of[pos]
@@ -560,57 +564,24 @@ def _plane_layout(net, tids, partners, a, reverse):
                  int(np.prod([t.dim(l) for l in up], dtype=np.int64)),
                  *(t.dim(l) for l in inplane))
         sites[pos] = _Site(tid, tuple(t.legs.index(l) for l in down + up + inplane), shape,
-                           t.kind == "dense", tuple(gate_of[tid, l] for l in inplane))
+                           t.kind == "dense")
     return sites, gates
 
 
-def _sweep_layout(work: TensorNetwork, reverse: bool) -> _Layout:
+def _sweep_layout(work: TensorNetwork) -> _Layout:
     """The planes of a simplified 3D network in sweep order, with grid
     positions rank-compressed, and the sorted carrier positions.  Depends
-    only on the network's shape, never on its values."""
+    only on the network's shape, never on its values; it checks that the
+    vertical legs of each position chain from plane to plane."""
     for tid in work.tensors:
         if tid not in work.coords or len(work.coords[tid]) != 3:
             raise ValueError("3D sweep needs 3D coordinates on every tensor")
     partners = _partners(work)
-    planes: dict = {}
+    by_plane: dict = {}
     for tid in work.tensors:
-        planes.setdefault(work.coords[tid][0], []).append(tid)
-
-    def is_bond_plane(tids, a):
-        for tid in tids:
-            t = work.tensors[tid]
-            if t.ndim != 2:
-                return False
-            sides = set()
-            for leg in t.legs:
-                p = partners.get((tid, leg))
-                if p is None or work.coords[p][0] == a:
-                    return False
-                if tuple(work.coords[p])[1:] != tuple(work.coords[tid])[1:]:
-                    return False
-                sides.add((work.coords[p][0] < a) != reverse)
-            if sides != {True, False}:
-                return False
-        return True
-
-    laid = []  # [sites, gates, bond-plane matrices attached above]
-    for a in sorted(planes, reverse=reverse):
-        tids = sorted(planes[a])
-        if laid and is_bond_plane(tids, a):
-            for tid in tids:
-                t = work.tensors[tid]
-                prev = [l for l in t.legs
-                        if (work.coords[partners[(tid, l)]][0] < a) != reverse]
-                order = prev + [l for l in t.legs if l not in prev]
-                laid[-1][2].append((tuple(work.coords[tid])[1:], tid,
-                                    tuple(t.legs.index(l) for l in order)))
-        else:
-            laid.append([*_plane_layout(work, tids, partners, a, reverse), []])
-
-    positions = set()
-    for sites, _gates, above in laid:
-        positions.update(sites)
-        positions.update(pos for pos, _tid, _perm in above)
+        by_plane.setdefault(work.coords[tid][0], []).append(tid)
+    laid = [_plane_layout(work, sorted(by_plane[a]), partners, a) for a in sorted(by_plane)]
+    positions = {p for sites, _gates in laid for p in sites}
     # rank-compress the grid so stride-2 site lattices become unit grids
     brank = {v: i for i, v in enumerate(sorted({p[0] for p in positions}))}
     crank = {v: i for i, v in enumerate(sorted({p[1] for p in positions}))}
@@ -618,19 +589,28 @@ def _sweep_layout(work: TensorNetwork, reverse: bool) -> _Layout:
     def rpos(pos):
         return (brank[pos[0]], crank[pos[1]])
 
-    planes_out = tuple(
+    planes = tuple(
         _Plane({rpos(p): s for p, s in sites.items()},
-               tuple(replace(g, p1=rpos(g.p1), p2=rpos(g.p2)) for g in gates),
-               tuple((rpos(p), tid, perm) for p, tid, perm in above))
-        for sites, gates, above in laid)
-    return _Layout(planes_out, sorted(rpos(p) for p in positions))
+               tuple(replace(g, p1=rpos(g.p1), p2=rpos(g.p2)) for g in gates))
+        for sites, gates in laid)
+    positions = sorted(rpos(p) for p in positions)
+    vert = dict.fromkeys(positions, 1)  # the vertical dimension each carrier site has
+    for plane in planes:
+        for pos, site in plane.sites.items():
+            if vert[pos] != site.shape[0]:
+                raise ValueError(f"vertical dimension mismatch at {pos}: "
+                                 f"{vert[pos]} vs {site.shape[0]}")
+            vert[pos] = site.shape[1]
+        for pos, dim in vert.items():
+            if pos not in plane.sites and dim != 1:
+                raise ValueError(f"open vertical leg at {pos} with no residual")
+    return _Layout(planes, positions)
 
 
-def _shape_key(work: TensorNetwork, reverse: bool) -> tuple:
+def _shape_key(work: TensorNetwork) -> tuple:
     """The memo key of a sweep layout, which depends on the network's shape
-    alone: each tensor's id, kind, legs, coordinate and dense shape, and
-    reverse."""
-    return ("layout", reverse) + tuple(
+    alone: each tensor's id, kind, legs, coordinate and dense shape."""
+    return ("layout",) + tuple(
         (tid, t.kind, tuple(t.legs), work.coords.get(tid),
          t.values.shape if t.kind == "dense" else None)
         for tid, t in sorted(work.tensors.items()))
@@ -791,8 +771,8 @@ class SweepState(LatticeState):
     """2D carrier state for the 3D layer sweep.
 
     Site arrays have axes (left, right, down, up, vert, g...); left/right
-    step the first grid coordinate, down/up the second, and pending gate
-    legs follow the vertical leg.
+    step the first grid coordinate, down/up the second, and the gate legs
+    still to be consumed follow the vertical leg.
     """
 
     AXIS = {(-1, 0): 0, (1, 0): 1, (0, -1): 2, (0, 1): 3}
@@ -858,15 +838,13 @@ def _state_copy(state: SweepState) -> SweepState:
 class _PlaneInputs(NamedTuple):
     """What a sweep reads of one plane before the first step: each site's
     residual by tid, the split key of each dense site, the dense edge
-    tensor (or None) and the memo key of each gate, the bond-plane
-    matrices folded above the plane by position, and the plane's carrier
+    tensor (or None) and the memo key of each gate, and the plane's carrier
     entry, with whether its key was in the memo before this sweep."""
 
     residuals: dict
     split_keys: dict
     edges: list
     gate_keys: list
-    above: dict
     carrier: _Carrier
     seen: bool
 
@@ -875,8 +853,7 @@ def _read_planes(work: TensorNetwork, planes, root: tuple, chi_split: int) -> li
     """Read every plane's inputs (_PlaneInputs), densifying each tensor once.
     The carrier entry of plane i is keyed by the entry below it (root for
     the first plane) and plane i's own part: the split key of each dense
-    site or the bits of any other residual, each gate's key, and the bits
-    of the bond-plane matrices above it."""
+    site or the bits of any other residual, and each gate's key."""
     out, below = [], root
     for plane in planes:
         residuals, split_keys = {}, {}
@@ -888,97 +865,69 @@ def _read_planes(work: TensorNetwork, planes, root: tuple, chi_split: int) -> li
         edges = [None if g.edge is None else work.tensors[g.edge].densify()
                  for g in plane.gates]
         gate_keys = [_gate_key(g, edge, split_keys) for g, edge in zip(plane.gates, edges)]
-        above = {pos: np.transpose(work.tensors[tid].densify(), perm)
-                 for pos, tid, perm in plane.above}
         key = ("state", below,
                tuple(split_keys[s.tid] if s.dense else _bits(residuals[s.tid])
                      for s in plane.sites.values()),
-               tuple(gate_keys), tuple(_bits(m) for m in above.values()))
+               tuple(gate_keys))
         seen = key in _MEMO
         below = _memo(key, _Carrier)
-        out.append(_PlaneInputs(residuals, split_keys, edges, gate_keys, above, below, seen))
+        out.append(_PlaneInputs(residuals, split_keys, edges, gate_keys, below, seen))
     return out
 
 
 def sweep_contract_3d(net: TensorNetwork, chi_peps: int, chi_split: int,
-                      chi_mps: int, reverse: bool = False) -> ContractionValue:
+                      chi_mps: int) -> ContractionValue:
     """Contract a layered 3D network by a plane-by-plane simple-update
-    sweep along the first coordinate (top-down when reverse is set).
+    sweep along the first coordinate, from its lowest value up.
 
-    Planes whose tensors all have exactly one leg down and one leg up to
-    the same grid position are bond planes: their 2x2 matrices are folded
-    exactly into the next layer's vertical step.  Every other plane is
-    decomposed into residuals and gates; structured nodes split exactly,
-    dense nodes by SVD at chi_split, and lattice bonds are truncated to
-    chi_peps.  The remaining 2D network goes to the boundary MPS at
+    Each plane is decomposed into residuals and gates; structured nodes
+    split exactly, dense nodes by SVD at chi_split, and lattice bonds are
+    truncated to chi_peps.  A plane of 2-leg vertical tensors is no
+    special case: each tensor is a residual with a (down, up) matrix and
+    no gates.  The remaining 2D network goes to the boundary MPS at
     chi_mps.
 
     Every input is read in one loop before the first step (_read_planes).
     The layout of the planes, the split of each dense site, the SVD
     factors of each gate and the carrier state after each plane come from
-    the memo (_memo).  The layout is keyed by the simplified network's
-    shape, a split or a gate by the bits of its inputs, and the state
-    after plane i by a chain of the layout key, chi_peps, the bits of the
-    network's log_scale and every input of planes 0..i.  The sweep resumes
-    from the deepest plane whose state the memo holds and runs only the
-    planes above it; a plane that runs stores its state when its key was
-    seen by an earlier sweep, so a state is kept only for an input prefix
-    that recurs.  Memoized or made afresh, equal inputs go through equal
-    operations, so the value has the same bits.
+    the memo (_memo).  The layout, with every shape check, is keyed by the
+    simplified network's shape, a split or a gate by the bits of its
+    inputs, and the state after plane i by a chain of the layout key,
+    chi_peps, the bits of the network's log_scale and every input of
+    planes 0..i.  The sweep resumes from the deepest plane whose state the
+    memo holds and runs only the planes above it; a plane that runs stores
+    its state when its key was seen by an earlier sweep, so a state is
+    kept only for an input prefix that recurs.  Memoized or made afresh,
+    equal inputs go through equal operations, so the value has the same
+    bits.
     """
     work, value = _simplified(net)
     if value is not None:
         return value
     _memo_sweep()
-    layout = _memo(_shape_key(work, reverse), _sweep_layout, work, reverse)
+    layout = _memo(_shape_key(work), _sweep_layout, work)
     planes = layout.planes
     reads = _read_planes(work, planes, (layout, chi_peps, float(work.log_scale).hex()),
                          chi_split)
     start = max((i + 1 for i, r in enumerate(reads) if r.carrier.state is not None), default=0)
     if start:
         state = _state_copy(reads[start - 1].carrier.state)
-        carry = reads[start - 1].above
     else:
         state = SweepState(layout.positions)
         state.log_scale = work.log_scale
-        carry = {}
     for plane, r in zip(planes[start:], reads[start:]):
         splits = {tid: _memo(key, _split_site, r.residuals[tid], chi_split)
                   for tid, key in r.split_keys.items()}
         for pos, site in plane.sites.items():
             arr = splits[site.tid][0] if site.dense else r.residuals[site.tid]
-            A = state.sites[pos]
-            mat = carry.pop(pos, None)
-            if mat is not None:
-                A = np.tensordot(A, mat, axes=([4], [0]))
-            if A.shape[4] != arr.shape[0]:
-                raise ValueError(
-                    f"vertical dimension mismatch at {pos}: "
-                    f"{A.shape[4]} vs {arr.shape[0]}"
-                )
-            state.sites[pos] = np.tensordot(A, arr, axes=([4], [0]))
+            state.sites[pos] = np.tensordot(state.sites[pos], arr, axes=([4], [0]))
             state.rescale(pos)
-        if carry:
-            pos = next(iter(carry))
-            raise ValueError(f"bond-plane matrix at {pos} has no site above")
-        for pos in state.sites:
-            if pos not in plane.sites and state.sites[pos].shape[4] != 1:
-                raise ValueError(f"open vertical leg at {pos} with no residual")
-        pending = {pos: list(site.gates) for pos, site in plane.sites.items()}
         for g, edge, key in zip(plane.gates, r.edges, r.gate_keys):
-            for pos in (g.p1, g.p2):
-                idx = pending[pos].index(g.key)
-                if idx != 0:
-                    state.sites[pos] = np.moveaxis(state.sites[pos], 5 + idx, 5)
-                    pending[pos].remove(g.key)
-                    pending[pos].insert(0, g.key)
+            for pos, ax in zip((g.p1, g.p2), g.axes):
+                if ax:
+                    state.sites[pos] = np.moveaxis(state.sites[pos], 5 + ax, 5)
             state.apply_bond_gate(g.p1, g.p2, _memo(key, _bond_gate, g, edge, splits),
                                   chi_peps)
-            pending[g.p1].remove(g.key)
-            pending[g.p2].remove(g.key)
-        carry = r.above
         if r.seen:
             r.carrier.state = _state_copy(state)
-    if carry:
-        raise ValueError("bond plane beyond the last site plane")
     return mps_contract_2d(state.to_network(), chi_mps)

@@ -1,11 +1,12 @@
 """Campaign tools under tools/: the exact-ML table behind the smoke check,
-and the resume check of the threshold campaigns."""
+the resume check of the threshold campaigns and their count options."""
 import hashlib
 import os
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from tests._oracles import dem_all_class_probs
 from tndecode.dem import DetectorErrorModel, Mechanism
@@ -77,6 +78,21 @@ def test_run_thresholds_workers_write_the_serial_rows(tmp_path):
         assert run.returncode == 0, run.stderr
     assert len(rows(serial)) == 1 + 5 * 2
     assert rows(forked) == rows(serial)
+
+
+@pytest.mark.parametrize("tool, args", [
+    ("run_thresholds.py", ["point", "3", "--shots", "-5"]),
+    ("run_thresholds.py", ["point", "3", "--chunk", "0"]),
+    ("run_thresholds.py", ["point", "3", "--workers", "0"]),
+    ("run_circuit_smoke.py", ["--workers", "0"]),
+])
+def test_campaign_tools_refuse_counts_below_one(tmp_path, tool, args):
+    out = tmp_path / "out"
+    res = subprocess.run([sys.executable, os.path.join(TOOLS, tool), *args, "--out", str(out)],
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 2
+    assert "is not a positive integer" in res.stderr
+    assert not out.exists()
 
 
 def test_bench_tracing_wraps_names_the_package_has():

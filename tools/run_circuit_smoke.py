@@ -47,6 +47,14 @@ PARAMS = {
 CHUNK = 50
 
 
+def positive_int(text):
+    """argparse type of a count that must be at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return n
+
+
 def run(out_path, workers=1):
     base = parse_dem(open(os.path.join(ROOT, PARAMS["dem"])).read())
     cfg = ContractionConfig(
@@ -88,6 +96,6 @@ def run(out_path, workers=1):
 if __name__ == "__main__":
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", default=os.path.join(ROOT, "results/circuit_smoke.json"))
-    ap.add_argument("--workers", type=int, default=1)
+    ap.add_argument("--workers", type=positive_int, default=1)
     args = ap.parse_args()
     run(args.out, args.workers)

@@ -54,6 +54,14 @@ def make_problem(family, code, p):
     raise ValueError(family)
 
 
+def positive_int(text):
+    """argparse type of a count that must be at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return n
+
+
 def first_row(path):
     """The first data row of a campaign CSV, or None if it has none."""
     with open(path) as f:
@@ -92,11 +100,11 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("family", choices=sorted(FAMILIES))
     ap.add_argument("d", type=int)
-    ap.add_argument("--shots", type=int, default=10000)
-    ap.add_argument("--chunk", type=int, default=200)
+    ap.add_argument("--shots", type=positive_int, default=10000)
+    ap.add_argument("--chunk", type=positive_int, default=200)
     ap.add_argument("--seed-base", type=int, default=20260800)
     ap.add_argument("--out", required=True)
-    ap.add_argument("--workers", type=int, default=1)
+    ap.add_argument("--workers", type=positive_int, default=1)
     args = ap.parse_args()
 
     ps, chi_peps, chi_split, chi_mps = FAMILIES[args.family]
