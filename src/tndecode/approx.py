@@ -24,22 +24,27 @@ truncation (per-bond Vidal-gauge lambda vectors); the final 2D network is
 handed to the boundary MPS.  A plane of 2-leg vertical tensors is an
 ordinary plane whose residuals are matrices and which has no gates.
 
-A sweep memoizes (_memo) what it derives from the network, with four
-kinds of entry: the layout of the planes (the rank-compressed grid, each
-site's leg order and reshape, each gate's ends and leg positions, all
-checked once for vertical legs that chain from plane to plane), keyed by
-the network's shape; the SVD split of each dense site, keyed by
-chi_split and the bits of its residual; the SVD factors of each gate,
-keyed by the bits of its edge tensor and the split keys of its two ends;
-and the carrier state after each plane, keyed by a chain of every input
-up to that plane.  The Monte Carlo shots of one problem share most of
-these and differ in the parity weights of the eq/par sites, which are
-read per shot; identical sites and gates share one SVD, and a shot whose
-syndrome agrees with an earlier one's on the first planes resumes the
-sweep above them.  Equal inputs go through equal operations (the simple
-update is deterministic), so a memoized entry has the bits a fresh one
-would.  An entry stays while one of the last PLAN_CACHE_SIZE sweeps used
-it, and its arrays are read-only.
+A sweep memoizes (_memo) what it derives from the network.  The layout
+of the planes (the rank-compressed grid, each site's leg order and
+reshape, each gate's ends and leg positions, all checked once for
+vertical legs that chain from plane to plane) is keyed by the network's
+shape; the SVD split of each dense site and the SVD factors of each gate
+by a name of their inputs (a 16-byte digest).  So are the carrier's
+arrays: each carrier site's array and each bond's weights at the end of
+a plane is stored under the name of the computation that made it, which
+chains the names of what that computation read.  A fast-path gate reads
+only its own end, so a site's name changes only with its own residuals,
+its gates and, through full simple updates, its neighbours, and a plane
+reruns only the sites whose names it has not stored.  A plane whose every
+site and bond is stored has one more entry, under the bits of all inputs
+up to it, from which a sweep replays it whole.  The Monte Carlo shots of
+one problem share most of these and differ in the parity weights of the
+eq/par sites, which are read per shot.  Equal inputs go through equal
+operations (the simple update is deterministic), and the log factors of
+each operation are stored with its arrays and added in program order, so
+a memoized value has the bits a fresh one would.  An entry stays while
+one of the last PLAN_CACHE_SIZE sweeps used it, and its arrays are
+read-only.
 
 Singular values below the relative cutoff CUTOFF are always discarded,
 so exact rank structure is preserved without noise amplification; the chi
@@ -50,13 +55,15 @@ deterministic.
 """
 from __future__ import annotations
 
-import copy
+import hashlib
+import itertools
 import math
-from dataclasses import dataclass, replace
+import struct
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import qr as _qr
+from scipy.linalg import get_lapack_funcs
 
 from .builders import simplify
 from .tensornet import ContractionValue, Tensor, TensorNetwork, pow2_normalize
@@ -68,6 +75,39 @@ OVERSAMPLE = 16  # sketch columns beyond the kept rank
 POWER_STEPS = 4  # power steps before giving up on the sketch
 POWER_TOL = 1e-2  # relative change of the discarded weight that counts as settled
 TSQR_BLOCK = 1024  # rows per block of _tsqr_r
+_LWORK: dict = {}  # (LAPACK routine, dtype, shape) -> the workspace size its query returns
+
+
+def _lapack(name: str, a: np.ndarray, *args, overwrite: bool):
+    """Run the LAPACK routine name on a (and args), with the workspace
+    size that the routine's own query returns, as scipy.linalg does, but
+    queried once per shape.  With overwrite, a Fortran-ordered a is
+    factored in place; any other a is copied once."""
+    f, = get_lapack_funcs((name,), (a,))
+    key = (name, a.dtype.char, a.shape)
+    lwork = _LWORK.get(key)
+    if lwork is None:
+        if len(_LWORK) >= 4096:  # the benchmark workloads fill it to under 200 shapes
+            _LWORK.clear()
+        lwork = _LWORK[key] = int(f(a, *args, lwork=-1)[-2][0].real)
+    *out, _work, info = f(a, *args, lwork=lwork, overwrite_a=overwrite)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {name}")
+    return out
+
+
+def _qr(a: np.ndarray, mode: str, overwrite: bool = False):
+    """QR of the m x n matrix a by LAPACK geqrf, and orgqr for Q: R,
+    min(m, n) x n, for mode 'r', and (Q, R), Q m x min(m, n), for mode
+    'economic'.  The routines and workspace sizes are scipy.linalg.qr's, so
+    are the bits.  With overwrite, a Fortran-ordered a is overwritten."""
+    m, n = a.shape
+    qr, tau = _lapack("geqrf", a, overwrite=overwrite)
+    r = np.triu(qr[:n] if m >= n else qr)
+    if mode == "r":
+        return r
+    q, = _lapack("orgqr", qr[:, :m] if m < n else qr, tau, overwrite=True)
+    return q, r
 
 
 def _range_svd(M: np.ndarray, k: int, rng):
@@ -83,15 +123,14 @@ def _range_svd(M: np.ndarray, k: int, rng):
     """
     A = M if M.shape[0] <= M.shape[1] else M.T  # Q spans the smaller side
     total = float(np.vdot(A, A))
-    Q, _ = _qr(A @ rng.standard_normal((A.shape[1], k + OVERSAMPLE)),
-               mode='economic', check_finite=False)
+    Q, _ = _qr(A @ rng.standard_normal((A.shape[1], k + OVERSAMPLE)), "economic")
     cut = None
     for step in range(POWER_STEPS + 1):
         if step:
-            Q, _ = _qr(A @ Z, mode='economic', check_finite=False)
+            Q, _ = _qr(A @ Z, "economic")
         # the QR of (Q^T A)^T = A^T Q serves both the next power step and
         # the SVD of the projection, Q^T A = R^T Z^T
-        Z, R = _qr((Q.T @ A).T, mode='economic', check_finite=False)
+        Z, R = _qr((Q.T @ A).T, "economic")
         w, s, ut = np.linalg.svd(R)
         prev, cut = cut, total - float(s[:k] @ s[:k])
         if cut <= 1e-12 * total or (prev is not None and abs(cut - prev) <= POWER_TOL * cut):
@@ -129,20 +168,28 @@ def _tsqr_r(M: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     TSQR_BLOCK rows, stack their R factors and repeat until one block is
     left.  Each block fits in cache, where one flat QR of a matrix with
     millions of rows runs memory-bound; no Q is formed.  The row weights w
-    scale each block of the first pass as it is factored, so the weighted
+    scale each block of the first pass as it is written, once, into the
+    Fortran-ordered array that geqrf factors in place, so the weighted
     matrix is never formed whole; the result has the same bits as that of
     M * w[:, None].  R is that of a flat QR up to the signs of its rows,
     so R^T R = M^T diag(w)^2 M."""
     block = max(TSQR_BLOCK, 2 * M.shape[1])  # each pass at least halves the rows
 
-    def rows(i, j):
-        return M[i:j] if w is None else M[i:j] * w[i:j, None]
+    def r(i):
+        rows = M[i:i + block]
+        # the transpose of a C-ordered (columns, rows) array is the block in
+        # Fortran order; writing it this way round reads M in long runs
+        out = np.empty(rows.shape[::-1])
+        if w is None:
+            np.copyto(out, rows.T)
+        else:
+            np.multiply(rows.T, w[i:i + block], out=out)
+        return _qr(out.T, "r", overwrite=True)
 
     while M.shape[0] > block:
-        M = np.concatenate([_qr(rows(i, i + block), mode='raw', check_finite=False)[1]
-                            for i in range(0, M.shape[0], block)])
+        M = np.concatenate([r(i) for i in range(0, M.shape[0], block)])
         w = None
-    return _qr(rows(0, M.shape[0]), mode='raw', check_finite=False)[1]
+    return r(0)
 
 
 @dataclass
@@ -166,7 +213,7 @@ class MpsState:
         the norm of the state sits in site 0."""
         for i in range(len(self.sites) - 1, 0, -1):
             l, r, p = self.sites[i].shape
-            q, R = _qr(self.sites[i].reshape(l, r * p).T, mode='economic', check_finite=False)
+            q, R = _qr(self.sites[i].reshape(l, r * p).T, "economic")
             self.sites[i] = q.T.reshape(-1, r, p)
             below = np.tensordot(self.sites[i - 1], R, axes=([1], [1])).transpose(0, 2, 1)
             self.sites[i - 1], log_factor = pow2_normalize(below)
@@ -347,9 +394,16 @@ def mps_contract_2d(net: TensorNetwork, chi: int) -> ContractionValue:
 # site tensors can legitimately exceed the exact-contraction densify cap
 # at large bond dimension; 2^26 floats is still only 0.5 GB
 SITE_DENSIFY_CAP = 1 << 26
-PLAN_CACHE_SIZE = 8  # sweeps whose layouts, splits, gate factors and carrier states stay memoized
-_MEMO: dict = {}  # memo key -> sweep layout, dense-site split, BondGate or _Carrier
+PLAN_CACHE_SIZE = 8  # sweeps whose memo entries stay
+_MEMO: dict = {}  # memo key -> layout, dense-site split, BondGate, _End or _Replay
 _USED: list = []  # the memo keys each of the last PLAN_CACHE_SIZE sweeps used, oldest first
+_LAYOUTS = itertools.count()  # numbers each sweep layout made, for its name
+
+
+def clear_memo() -> None:
+    """Empty the sweep memo, so that the next sweep computes every entry."""
+    _MEMO.clear()
+    _USED.clear()
 
 
 def _memo_sweep() -> None:
@@ -374,9 +428,35 @@ def _memo(key, make, *args):
     return entry
 
 
+_NO_NAME = bytes(16)  # stands for an absent input in a name
+
+
+def _name(*parts: bytes | None) -> bytes | None:
+    """A 16-byte digest (of SHA-256) that names a computation from its
+    parts: a one-byte tag for its kind, then its inputs, as names and
+    packed ints (_ints), in a layout that the tag fixes.  None, unnamed,
+    when an input is unnamed."""
+    if None in parts:
+        return None
+    return hashlib.sha256(b"".join(parts)).digest()[:16]
+
+
+def _ints(*ns: int) -> bytes:
+    """ns packed as a part of a name."""
+    return struct.pack(f"<{len(ns)}q", *ns)
+
+
 def _bits(a: np.ndarray) -> tuple:
     """A key of an array's dtype, shape and bits (so -0.0 differs from 0.0)."""
     return a.dtype.str, a.shape, a.tobytes()
+
+
+def _bits_name(a: np.ndarray) -> bytes:
+    """The name of an array's dtype, shape and bits.  What it hashes starts
+    with the dtype's byte-order character, never with a tag of _name."""
+    h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + b"\0")
+    h.update(np.ascontiguousarray(a))
+    return h.digest()[:16]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -442,15 +522,15 @@ class _Plane:
     gates: tuple
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class _Layout:
-    """The planes of a sweep in sweep order and the sorted carrier
-    positions.  It compares and hashes by identity, so that while the memo
-    holds it, it stands for its layout key in the carrier-state keys at
-    the cost of a pointer."""
+    """The planes of a sweep in sweep order, the sorted carrier positions,
+    and a name that no other layout made in this process has, which the
+    names of the sweep's computations start from."""
 
     planes: tuple
     positions: list
+    name: bytes = field(default_factory=lambda: next(_LAYOUTS).to_bytes(16, "little"))
 
 
 def _split_site(arr: np.ndarray, chi_split: int):
@@ -467,12 +547,15 @@ def _split_site(arr: np.ndarray, chi_split: int):
     return _frozen(arr), tuple(factors)
 
 
-def _gate_key(g: _Gate, edge: np.ndarray | None, split_keys: dict) -> tuple:
-    """The memo key of g's BondGate: the bits of its edge tensor edge (None
-    on a direct bond), and the split key and axis of each end that is a
-    dense site (split_keys maps such a site's tid to its split key)."""
-    return ("gate", g.dim, g.edge_t, None if edge is None else _bits(edge),
-            *((split_keys[tid], ax) if tid in split_keys else None for tid, ax in g.ends))
+def _gate_name(g: _Gate, edge: np.ndarray | None, names: dict) -> bytes:
+    """The name of g's BondGate: the bits of its edge tensor edge (None on
+    a direct bond), and the split name and axis of each end that is a
+    dense site (names maps such a site's tid to its split name)."""
+    (t1, ax1), (t2, ax2) = g.ends
+    return _name(b"g", _ints(g.dim, g.edge_t, ax1 if t1 in names else -1,
+                             ax2 if t2 in names else -1),
+                 _NO_NAME if edge is None else _bits_name(edge),
+                 names.get(t1, _NO_NAME), names.get(t2, _NO_NAME))
 
 
 def _bond_gate(g: _Gate, edge: np.ndarray | None, splits: dict) -> BondGate:
@@ -655,11 +738,15 @@ class LatticeState:
             raise ValueError("gate endpoints are not adjacent grid positions")
         return self.AXIS[step], self.AXIS[tuple(-d for d in step)]
 
+    def add_log(self, log_factor):
+        """Take a log factor out of the arrays into the value's log_scale."""
+        self.log_scale += log_factor
+
     def rescale(self, pos):
         """Bring the site at pos into pow2_normalize's window, in place: only
         arrays the state has just allocated are passed here."""
         self.sites[pos], log_factor = pow2_normalize(self.sites[pos], inplace=True)
-        self.log_scale += log_factor
+        self.add_log(log_factor)
 
     def _site_matrix(self, pos, ax, lam_at=None):
         """The site at pos as a matrix (other axes) x (bond at ax, gate
@@ -726,7 +813,7 @@ class LatticeState:
         self.truncation_cut += max(
             0.0, 1.0 - float((s ** 2).sum()) / float(np.linalg.norm(core)) ** 2)
         f = float(s[0])
-        self.log_scale += math.log(f)
+        self.add_log(math.log(f))
         self.lam[self.bond(p1, p2)] = s / f
         for pos, project, proj in ((p1, project1, (vt / s[:, None]) @ R2G),
                                    (p2, project2, (u / s).T @ R1G)):
@@ -744,7 +831,8 @@ class LatticeState:
         net.log_scale = self.log_scale
         for pos in sorted(self.sites):
             A = self.sites[pos]
-            if pos in ends:
+            owned = pos in ends  # A is a fresh array, which may be scaled in place
+            if owned:
                 A = np.tensordot(A, ends[pos], axes=([-1], [0]))
             elif A.shape[-1] != 1:
                 raise ValueError(f"site {pos} has an open leg and no end in readout")
@@ -759,7 +847,11 @@ class LatticeState:
                     raise ValueError("dangling lattice bond in readout")
                 shape = [1] * A.ndim
                 shape[ax] = A.shape[ax]
-                A = A * np.sqrt(self.get_lam(pos, npos)).reshape(shape)
+                weights = np.sqrt(self.get_lam(pos, npos)).reshape(shape)
+                if owned:
+                    A *= weights
+                else:
+                    A, owned = A * weights, True
                 legs.append(f"b{bond}")
                 keep_axes.append(ax)
             net.add(Tensor.dense(A.reshape([A.shape[ax] for ax in keep_axes]), legs),
@@ -781,6 +873,12 @@ class SweepState(LatticeState):
     def __init__(self, positions):
         super().__init__({pos: np.ones((1, 1, 1, 1, 1)) for pos in positions})
 
+    @staticmethod
+    def full_update(bond_len: int, gate: BondGate, chi: int) -> bool:
+        """Whether gate, on a bond whose weights have length bond_len, runs
+        the full simple update: the merged bond would exceed chi."""
+        return bond_len * len(gate.s) > chi
+
     def apply_bond_gate(self, p1, p2, gate: BondGate, chi):
         """Contract a two-site gate whose legs sit at axis 5 of both site
         arrays, merging it into the shared lattice bond (capped at chi).
@@ -794,7 +892,7 @@ class SweepState(LatticeState):
         lam_b = self.get_lam(p1, p2)
         if gate.s[0] == 0.0:
             raise FloatingPointError("zero-valued gate collapses the network")
-        if len(lam_b) * len(gate.s) > chi:
+        if self.full_update(len(lam_b), gate, chi):
             self.simple_update(p1, p2, gate.mat, chi)
             return
         B1 = np.tensordot(self.sites[p1], gate.u, axes=([5], [0]))
@@ -808,71 +906,290 @@ class SweepState(LatticeState):
         new_lam = np.kron(lam_b, gate.s)
         f = float(np.max(new_lam))
         self.lam[self.bond(p1, p2)] = new_lam / f
-        self.log_scale += math.log(f)
+        self.add_log(math.log(f))
         self.rescale(p1)
         self.rescale(p2)
 
 
-class _Carrier:
-    """The memo entry of the carrier state after one plane.  Its key chains
-    the keys of the planes below through the entry of the plane below, by
-    identity.  state is None, a marker, until the key is seen a second
-    time; then it is a read-only copy of the state to resume from."""
+class _Recorder(SweepState):
+    """The carrier state of a sweep.  Each log factor that an operation
+    takes out of the arrays goes to terms, for the sweep to add up in
+    program order next to the factors it reads from the memo."""
 
-    __slots__ = ("state",)
+    def __init__(self, positions):
+        super().__init__(positions)
+        self.terms = []
+
+    def add_log(self, log_factor):
+        self.terms.append(log_factor)
+
+    def take(self) -> list:
+        """The log factors recorded since the last take."""
+        out, self.terms = self.terms, []
+        return out
+
+
+class _End:
+    """The memo entry of a carrier site's array, or a bond's weights, at
+    the end of a plane, under the name of the computation that made it.
+    array is None, a marker, until the name is seen a second time; then it
+    is the read-only array, terms the log factors that the operations on
+    the site (or bond) in that plane took out, and cuts a bond's
+    truncation cuts, each in program order."""
+
+    __slots__ = ("array", "terms", "cuts")
 
     def __init__(self):
-        self.state = None
+        self.array, self.terms, self.cuts = None, (), ()
 
 
-def _state_copy(state: SweepState) -> SweepState:
-    """A copy of state with its own site and lam dicts over the same arrays,
-    which become read-only.  The sweep replaces arrays and never writes
-    into them, so a state stays valid while it only shares them."""
-    out = copy.copy(state)
-    out.sites = {pos: _frozen(a) for pos, a in state.sites.items()}
-    out.lam = {bond: _frozen(v) for bond, v in state.lam.items()}
-    return out
+class _Replay(NamedTuple):
+    """What a plane did: the name and array of each of its sites, and of
+    the weights of each of its gates' bonds, at its end, as (pos or bond,
+    name, array), and the log factors and truncation cuts of all its
+    operations in program order.  It is the memo entry of a plane whose
+    every site and bond the memo holds at its end, under the plane's chain
+    key, so that a sweep that reaches the plane with the same inputs
+    replays it with one lookup."""
+
+    sites: tuple
+    bonds: tuple
+    terms: tuple
+    cuts: tuple
 
 
 class _PlaneInputs(NamedTuple):
     """What a sweep reads of one plane before the first step: each site's
-    residual by tid, the split key of each dense site, the dense edge
-    tensor (or None) and the memo key of each gate, and the plane's carrier
-    entry, with whether its key was in the memo before this sweep."""
+    residual by tid, the dense edge tensor (or None) of each gate, and the
+    chain key of the inputs up to this plane."""
 
     residuals: dict
-    split_keys: dict
     edges: list
-    gate_keys: list
-    carrier: _Carrier
-    seen: bool
+    chain: tuple
 
 
-def _read_planes(work: TensorNetwork, planes, root: tuple, chi_split: int) -> list:
+def _read_planes(work: TensorNetwork, planes, root: tuple) -> list:
     """Read every plane's inputs (_PlaneInputs), densifying each tensor once.
-    The carrier entry of plane i is keyed by the entry below it (root for
-    the first plane) and plane i's own part: the split key of each dense
-    site or the bits of any other residual, and each gate's key."""
-    out, below = [], root
+    The chain key of plane i holds the one below it (root for the first
+    plane) and the bits of plane i's residuals and edge tensors."""
+    out, chain = [], root
     for plane in planes:
-        residuals, split_keys = {}, {}
+        residuals = {}
         for site in plane.sites.values():
             arr = np.transpose(work.tensors[site.tid].densify(SITE_DENSIFY_CAP), site.perm)
-            residuals[site.tid] = arr = arr.reshape(site.shape)
-            if site.dense:
-                split_keys[site.tid] = ("split", chi_split, _bits(arr))
+            residuals[site.tid] = arr.reshape(site.shape)
         edges = [None if g.edge is None else work.tensors[g.edge].densify()
                  for g in plane.gates]
-        gate_keys = [_gate_key(g, edge, split_keys) for g, edge in zip(plane.gates, edges)]
-        key = ("state", below,
-               tuple(split_keys[s.tid] if s.dense else _bits(residuals[s.tid])
-                     for s in plane.sites.values()),
-               tuple(gate_keys))
-        seen = key in _MEMO
-        below = _memo(key, _Carrier)
-        out.append(_PlaneInputs(residuals, split_keys, edges, gate_keys, below, seen))
+        chain = ("plane", chain, *map(_bits, residuals.values()),
+                 *(None if e is None else _bits(e) for e in edges))
+        out.append(_PlaneInputs(residuals, edges, chain))
     return out
+
+
+def _input_names(plane, r: _PlaneInputs, chi_split: int) -> tuple:
+    """The names of a plane's inputs: of each site's residual by tid (a
+    dense site's is its split name, of chi_split and the residual's
+    bits), of the dense sites' splits alone, and of each gate."""
+    names = {tid: _bits_name(arr) for tid, arr in r.residuals.items()}
+    split_names = {s.tid: _name(b"s", _ints(chi_split), names[s.tid])
+                   for s in plane.sites.values() if s.dense}
+    names.update(split_names)
+    gate_names = [_gate_name(g, edge, split_names) for g, edge in zip(plane.gates, r.edges)]
+    return names, split_names, gate_names
+
+
+def _held(name: bytes | None) -> _End | None:
+    """The memo entry of a stored plane-end array under name, recorded as
+    used, or None."""
+    entry = _MEMO.get(name)
+    if entry is None or entry.array is None:
+        return None
+    _USED[-1].add(name)
+    return entry
+
+
+def _keep(name: bytes, array: np.ndarray, terms: list, cuts: list = ()) -> _End:
+    """The memo entry under name, for an array that a plane computed at its
+    end: a marker the first time the name is seen, the stored array from
+    the second on."""
+    seen = name in _MEMO
+    entry = _memo(name, _End)
+    if seen and entry.array is None:
+        entry.array, entry.terms, entry.cuts = _frozen(array), tuple(terms), tuple(cuts)
+    return entry
+
+
+def _rerun(plane, full, held, held_bonds) -> set:
+    """The positions of a plane that rerun it from its start: each site
+    whose array at the plane's end the memo does not hold (held), and both
+    ends of each full simple update, which reads both ends' arrays before
+    it, that has one such end or whose bond the memo does not hold
+    (held_bonds).  full tells a full update (True, or None when unknown)
+    from a fast-path gate (False), which reads no partner."""
+    dirty = {pos for pos, entry in held.items() if entry is None}
+    grow = True
+    while grow:
+        grow = False
+        for g, f in zip(plane.gates, full):
+            ends = {g.p1, g.p2}
+            if f is not False and (ends & dirty or not held_bonds[LatticeState.bond(g.p1, g.p2)]):
+                grow |= not ends <= dirty
+                dirty |= ends
+    return dirty
+
+
+class _Sweep:
+    """One sweep: its carrier state, and the name of each carrier site's
+    array and of each bond's weights (root for the first ones)."""
+
+    def __init__(self, layout: _Layout, chi_peps: int, chi_split: int):
+        self.root = _name(b"r", layout.name, _ints(chi_peps))
+        self.state = _Recorder(layout.positions)
+        self.names = dict.fromkeys(layout.positions, self.root)
+        self.bond_names: dict = {}
+        self.chi_peps, self.chi_split = chi_peps, chi_split
+
+    def plan(self, i, plane, inputs, gate_names, gates, start, lens) -> tuple:
+        """Name each operation of plane i in program order, from the names
+        of the sites and bonds before it and those of the plane's inputs
+        (_input_names):
+        - absorbing a residual: the site's name and the residual's
+        - a fast-path gate: for each end, its site's name, the gate's name
+          and its place (plane, gate, end); for the bond, its name and the
+          gate's
+        - a full simple update: the names of both sites, of the gate, of
+          the bond and of every other bond at both ends, and its place;
+          its ends and bond are named after it.
+        Whether a gate runs as a full update follows from the length of the
+        bond's weights, which start holds by bond as the plane starts.  A
+        full update's weights have the length that lens gives by gate index,
+        where the plane has run, or else the one stored under its name;
+        without either, the gates after it on that bond are unnamed.
+        Returns the names of the plane's sites and of its gates' bonds at
+        its end, and for each gate True (full update), False (fast path)
+        or None (unknown)."""
+        state = self.state
+        names = {pos: self.names[pos] for pos in plane.sites}
+        bonds, lengths, full = {}, dict(start), []
+        for pos, site in plane.sites.items():
+            names[pos] = _name(b"a", names[pos], inputs[site.tid])
+        for j, (g, gate, gname) in enumerate(zip(plane.gates, gates, gate_names)):
+            b = state.bond(g.p1, g.p2)
+            kb = bonds.get(b, self.bond_names.get(b, self.root))
+            n = lengths[b]
+            if n is not None and not SweepState.full_update(n, gate, self.chi_peps):
+                full.append(False)
+                bonds[b], lengths[b] = _name(b"b", kb, gname), n * len(gate.s)
+                for e, pos in enumerate((g.p1, g.p2)):
+                    names[pos] = _name(b"f", names[pos], gname, _ints(i, j, e))
+                continue
+            others = [bonds.get(nb, self.bond_names.get(nb, self.root))
+                      for pos, other in ((g.p1, g.p2), (g.p2, g.p1))
+                      for npos, _ax in state.neighbors(pos) if npos != other
+                      for nb in [state.bond(pos, npos)]]
+            f = None if n is None else _name(b"u", names[g.p1], names[g.p2], gname, kb,
+                                              _ints(i, j), *others)
+            full.append(None if n is None else True)
+            names[g.p1], names[g.p2], bonds[b] = _name(b"e", f, b"\0"), _name(b"e", f, b"\1"), f
+            entry = _MEMO.get(f) if f is not None else None
+            lengths[b] = lens.get(j, None if entry is None or entry.array is None
+                                  else len(entry.array))
+        return names, bonds, full
+
+    def run_plane(self, i, plane, r) -> _Replay:
+        """Run plane i from the names its inputs and the state before it
+        give each site and bond at its end (plan).  A site whose array at
+        that end the memo holds (a clean site) takes it; the others rerun
+        the plane from its start (_rerun).  Each operation's log factors
+        and cut are the ones it records or, where it does not run, the ones
+        stored with its clean sites and bond, so the plane's factors come
+        in program order."""
+        state, chi = self.state, self.chi_peps
+        inputs, split_names, gate_names = _input_names(plane, r, self.chi_split)
+        splits = {tid: _memo(key, _split_site, r.residuals[tid], self.chi_split)
+                  for tid, key in split_names.items()}
+        gates = [_memo(key, _bond_gate, g, edge, splits)
+                 for g, edge, key in zip(plane.gates, r.edges, gate_names)]
+        start = {state.bond(g.p1, g.p2): len(state.get_lam(g.p1, g.p2)) for g in plane.gates}
+        names, bonds, full = self.plan(i, plane, inputs, gate_names, gates, start, {})
+        held = {pos: _held(name) for pos, name in names.items()}
+        held_bonds = {b: _held(name) for b, name in bonds.items()}
+        dirty = _rerun(plane, full, held, held_bonds)
+        stored = {pos: iter(entry.terms) for pos, entry in held.items() if pos not in dirty}
+        stored_bonds = {b: (iter(entry.terms), iter(entry.cuts))
+                        for b, entry in held_bonds.items() if entry is not None}
+        site_terms = {pos: [] for pos in dirty}
+        bond_terms, bond_cuts, lens, terms, cuts = {}, {}, {}, [], []
+        for pos, site in plane.sites.items():
+            if pos in dirty:
+                arr = splits[site.tid][0] if site.dense else r.residuals[site.tid]
+                state.sites[pos] = np.tensordot(state.sites[pos], arr, axes=([4], [0]))
+                state.rescale(pos)
+                site_terms[pos] += state.take()
+                terms.append(site_terms[pos][-1])
+            else:
+                terms.append(next(stored[pos]))
+        for j, (g, gate, f) in enumerate(zip(plane.gates, gates, full)):
+            b, ends = state.bond(g.p1, g.p2), (g.p1, g.p2)
+            if dirty.isdisjoint(ends) and held_bonds[b]:
+                log_iter, cut_iter = stored_bonds[b]
+                log_bond = next(log_iter)
+                if f:
+                    cuts.append(next(cut_iter))
+                terms += [log_bond, *(next(stored[pos]) for pos in ends)]
+                continue
+            # the fast path reads no partner: a clean end gets a stand-in,
+            # whose result is dropped
+            for pos, ax, dim in zip(ends, g.axes, (len(gate.u), gate.vt.shape[1])):
+                if pos not in dirty:
+                    state.sites[pos] = np.ones((1, 1, 1, 1, 1, dim))
+                elif ax:
+                    state.sites[pos] = np.moveaxis(state.sites[pos], 5 + ax, 5)
+            ran_full = state.full_update(len(state.get_lam(*ends)), gate, chi)
+            state.truncation_cut = 0.0
+            state.apply_bond_gate(g.p1, g.p2, gate, chi)
+            log_bond, *log_ends = state.take()
+            if ran_full:
+                cuts.append(state.truncation_cut)
+                bond_cuts.setdefault(b, []).append(cuts[-1])
+                lens[j] = len(state.lam[b])
+            bond_terms.setdefault(b, []).append(log_bond)
+            for e, pos in enumerate(ends):
+                if pos in dirty:
+                    site_terms[pos].append(log_ends[e])
+                else:
+                    log_ends[e] = next(stored[pos])
+            terms += [log_bond, *log_ends]
+        if None in names.values() or None in bonds.values():
+            names, bonds, _ = self.plan(i, plane, inputs, gate_names, gates, start, lens)
+        for pos, name in names.items():
+            if pos in dirty:
+                held[pos] = _keep(name, state.sites[pos], site_terms[pos])
+            if held[pos].array is not None:
+                state.sites[pos] = held[pos].array
+        for b, name in bonds.items():
+            if b in bond_terms:
+                held_bonds[b] = _keep(name, state.lam[b], bond_terms[b], bond_cuts.get(b, ()))
+            if held_bonds[b].array is not None:
+                state.lam[b] = held_bonds[b].array
+        self.names.update(names)
+        self.bond_names.update(bonds)
+        replay = _Replay(tuple((pos, name, state.sites[pos]) for pos, name in names.items()),
+                         tuple((b, name, state.lam[b]) for b, name in bonds.items()),
+                         tuple(terms), tuple(cuts))
+        if all(e.array is not None for e in (*held.values(), *held_bonds.values())):
+            _memo(r.chain, lambda: replay)
+        return replay
+
+    def replay(self, replay: _Replay) -> None:
+        """Take a plane's end from its memo entry."""
+        used = _USED[-1]
+        for pos, name, arr in replay.sites:
+            self.state.sites[pos], self.names[pos] = arr, name
+            used.add(name)
+        for b, name, lam in replay.bonds:
+            self.state.lam[b], self.bond_names[b] = lam, name
+            used.add(name)
 
 
 def sweep_contract_3d(net: TensorNetwork, chi_peps: int, chi_split: int,
@@ -888,46 +1205,39 @@ def sweep_contract_3d(net: TensorNetwork, chi_peps: int, chi_split: int,
     chi_mps.
 
     Every input is read in one loop before the first step (_read_planes).
-    The layout of the planes, the split of each dense site, the SVD
-    factors of each gate and the carrier state after each plane come from
-    the memo (_memo).  The layout, with every shape check, is keyed by the
-    simplified network's shape, a split or a gate by the bits of its
-    inputs, and the state after plane i by a chain of the layout key,
-    chi_peps, the bits of the network's log_scale and every input of
-    planes 0..i.  The sweep resumes from the deepest plane whose state the
-    memo holds and runs only the planes above it; a plane that runs stores
-    its state when its key was seen by an earlier sweep, so a state is
-    kept only for an input prefix that recurs.  Memoized or made afresh,
-    equal inputs go through equal operations, so the value has the same
-    bits.
+    The layout of the planes, the split of each dense site and the SVD
+    factors of each gate come from the memo (_memo), keyed by the
+    simplified network's shape or by the name of their inputs.  So do
+    the arrays of the carrier: every carrier site's array and every bond's
+    weights has a name (_Sweep.plan) that chains its inputs from the
+    layout and chi_peps on, and each plane reruns only the sites whose
+    array at its end the memo does not hold (_Sweep.run_plane).  A plane
+    whose every site and bond the memo holds at its end is replayed whole
+    from one entry, keyed by the bits of every input up to it.  An array is stored
+    the second time its name is seen, so only recurring computations cost
+    memory.  The network's log_scale is no input of any array: the log
+    factors of each operation are stored with its arrays and added to it
+    in program order.  Memoized or made afresh, equal inputs go through
+    equal operations, so the value has the same bits.
     """
     work, value = _simplified(net)
     if value is not None:
         return value
     _memo_sweep()
     layout = _memo(_shape_key(work), _sweep_layout, work)
-    planes = layout.planes
-    reads = _read_planes(work, planes, (layout, chi_peps, float(work.log_scale).hex()),
-                         chi_split)
-    start = max((i + 1 for i, r in enumerate(reads) if r.carrier.state is not None), default=0)
-    if start:
-        state = _state_copy(reads[start - 1].carrier.state)
-    else:
-        state = SweepState(layout.positions)
-        state.log_scale = work.log_scale
-    for plane, r in zip(planes[start:], reads[start:]):
-        splits = {tid: _memo(key, _split_site, r.residuals[tid], chi_split)
-                  for tid, key in r.split_keys.items()}
-        for pos, site in plane.sites.items():
-            arr = splits[site.tid][0] if site.dense else r.residuals[site.tid]
-            state.sites[pos] = np.tensordot(state.sites[pos], arr, axes=([4], [0]))
-            state.rescale(pos)
-        for g, edge, key in zip(plane.gates, r.edges, r.gate_keys):
-            for pos, ax in zip((g.p1, g.p2), g.axes):
-                if ax:
-                    state.sites[pos] = np.moveaxis(state.sites[pos], 5 + ax, 5)
-            state.apply_bond_gate(g.p1, g.p2, _memo(key, _bond_gate, g, edge, splits),
-                                  chi_peps)
-        if r.seen:
-            r.carrier.state = _state_copy(state)
-    return mps_contract_2d(state.to_network(), chi_mps)
+    sweep = _Sweep(layout, chi_peps, chi_split)
+    log, cut = work.log_scale, 0.0
+    reads = _read_planes(work, layout.planes, (layout.name, chi_peps, chi_split))
+    for i, (plane, r) in enumerate(zip(layout.planes, reads)):
+        replay = _MEMO.get(r.chain)
+        if replay is None:
+            replay = sweep.run_plane(i, plane, r)
+        else:
+            _USED[-1].add(r.chain)
+            sweep.replay(replay)
+        for term in replay.terms:
+            log += term
+        for term in replay.cuts:
+            cut += term
+    sweep.state.log_scale, sweep.state.truncation_cut = log, cut
+    return mps_contract_2d(sweep.state.to_network(), chi_mps)

@@ -310,8 +310,8 @@ def test_sweep_3d_determinism(cold_plans):
     _clear_memo()  # b computes every plane again rather than reading a's memo
     b = sweep_contract_3d(net, 8, 4, 16)
     assert a.mantissa == b.mantissa and a.log_abs == b.log_abs
-    # warm: the first stores the carrier states b's planes marked, the
-    # second resumes from the last of them
+    # warm: the first stores the plane-end arrays b's sweep marked, the
+    # second replays every plane from them
     for c in (sweep_contract_3d(net, 8, 4, 16) for _ in range(2)):
         assert c.mantissa == a.mantissa and c.log_abs == a.log_abs
 
@@ -609,8 +609,7 @@ def test_truncate_bond_full_rank_exact_with_spread_outer_weights():
 
 
 def _clear_memo():
-    approx._MEMO.clear()
-    approx._USED.clear()
+    approx.clear_memo()
 
 
 @pytest.fixture()
@@ -673,25 +672,25 @@ def gate_calls(monkeypatch):
 
 @pytest.fixture()
 def memo_keys(monkeypatch):
-    """The memo keys each sweep used, one set per sweep that reached the
-    memo (a network that simplify absorbs whole never does)."""
+    """The memo keys each sweep used, as the memo recorded them when the
+    sweep returned or raised, one set per sweep that reached the memo (a
+    network that simplify absorbs whole never does)."""
     from tndecode import harness
 
     used = []
-    memo, sweep = approx._memo, approx.sweep_contract_3d
+    sweep = approx.sweep_contract_3d
 
-    def recording(key, make, *args):
-        used[-1].add(key)
-        return memo(key, make, *args)
+    def recording(*args, **kwargs):
+        before = approx._USED[-1] if approx._USED else None
+        try:
+            return sweep(*args, **kwargs)
+        finally:
+            if approx._USED and approx._USED[-1] is not before:
+                used.append(set(approx._USED[-1]))
 
-    def opened(*args, **kwargs):
-        used.append(set())
-        return sweep(*args, **kwargs)
-
-    monkeypatch.setattr(approx, "_memo", recording)
     for module in (approx, harness):
-        monkeypatch.setattr(module, "sweep_contract_3d", opened)
-    return lambda: [keys for keys in used if keys]
+        monkeypatch.setattr(module, "sweep_contract_3d", recording)
+    return lambda: used
 
 
 def _live_keys(sweeps):
@@ -788,42 +787,59 @@ def test_plan_arrays_are_read_only(cold_plans):
     m = np.zeros(code.h_x.shape[0] + code.h_z.shape[0], np.uint8)
     m[0] = 1
     net = build_detector_cubic_network(code, [depolarizing(0.07)] * code.n, m).networks()[1]
-    for _ in range(2):  # the second sweep stores the carrier states
+    for _ in range(2):  # the second sweep stores the plane-end arrays
         sweep_contract_3d(net, 6, 2, 8)
-    splits = [v for key, v in approx._MEMO.items() if key[0] == "split"]
-    gates = [v for key, v in approx._MEMO.items() if key[0] == "gate"]
-    states = [v.state for key, v in approx._MEMO.items() if key[0] == "state"]
-    arrays = [a for gate in gates for a in gate]
+    entries = list(approx._MEMO.values())
+    splits = [v for v in entries if type(v) is tuple]
+    gates = [v for v in entries if isinstance(v, BondGate)]
+    ends = [v.array for v in entries if isinstance(v, approx._End) and v.array is not None]
+    replays = [v for v in entries if isinstance(v, approx._Replay)]
+    arrays = [a for gate in gates for a in gate] + ends
     for residual, factors in splits:
         arrays += [residual, *factors]
-    for state in states:
-        arrays += [*state.sites.values(), *state.lam.values()]
-    assert splits and gates and states and all(state.lam for state in states[1:])
+    for replay in replays:
+        arrays += [a for _key, _name, a in replay.sites + replay.bonds]
+    assert splits and gates and ends and replays and any(r.bonds for r in replays)
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         gates[0].u[0, 0] = 1.0
     with pytest.raises(ValueError):
-        next(iter(states[-1].lam.values()))[0] = 2.0
+        next(r for r in replays if r.bonds).bonds[0][2][0] = 2.0
 
 
 # ---------------------------------------------------------------------------
-# sweep memo: carrier states after each plane
+# sweep memo: carrier sites and bonds at the end of each plane
 
 
 @pytest.fixture()
-def resumed(monkeypatch):
-    """For each sweep that reached the memo, its _PlaneInputs and whether
-    the memo held each plane's carrier state as the sweep read it."""
-    sweeps = []
-    read = approx._read_planes
+def sweeps(monkeypatch):
+    """For each sweep that reached the memo, a dict from the index of each
+    plane it ran, rather than replayed, to (full, reran): whether each gate
+    ran as a full simple update, and the positions whose operations the
+    plane reran."""
+    out, current = [], {}
+    memo_sweep, plan, keep = approx._memo_sweep, approx._Sweep.plan, approx._keep
 
-    def recording(*args):
-        reads = read(*args)
-        sweeps.append((reads, [r.carrier.state is not None for r in reads]))
-        return reads
+    def opened():
+        out.append({})
+        memo_sweep()
 
-    monkeypatch.setattr(approx, "_read_planes", recording)
-    return sweeps
+    def planned(self, i, *args):
+        names, bonds, full = plan(self, i, *args)
+        out[-1][i] = (full, set())
+        current.clear()
+        for pos, name in names.items():
+            current.setdefault(name, []).append(pos)
+        return names, bonds, full
+
+    def kept(name, *args):
+        out[-1][max(out[-1])][1].update(current.get(name, ()))
+        return keep(name, *args)
+
+    monkeypatch.setattr(approx, "_memo_sweep", opened)
+    monkeypatch.setattr(approx._Sweep, "plan", planned)
+    monkeypatch.setattr(approx, "_keep", kept)
+    return out
 
 
 @pytest.fixture()
@@ -867,14 +883,29 @@ def _bits_of(v):
     return v.mantissa.hex(), v.log_scale.hex()
 
 
+# a site or an in-plane edge tensor of each site layer, and a bond-plane
+# matrix of each bond layer, by first coordinate and whether it is a matrix
+_CHANGES = [(a, m) for a in range(0, 7, 2) for m in (False, True)] + [
+    (a, True) for a in range(1, 7, 2)]
+
+
+def _target(net, a, matrix):
+    """The tensor _changed changes: the first at first coordinate a that is
+    a matrix (edge or bond-plane tensor) if matrix is set, else a site."""
+    return min(tid for tid, t in net.tensors.items()
+               if net.coords[tid][0] == a and (t.ndim == 2) == matrix)
+
+
 def _changed(net, a, matrix):
-    """A copy of net with one entry changed in a tensor at first coordinate
-    a: a matrix (edge or bond-plane tensor) if matrix is set, else a site."""
+    """A copy of net with one entry of _target(net, a, matrix) changed."""
     out = net.copy()
-    t = out.tensors[min(tid for tid, t in out.tensors.items()
-                        if out.coords[tid][0] == a and (t.ndim == 2) == matrix)]
+    t = out.tensors[_target(net, a, matrix)]
     t.values[(0,) * t.ndim] += 0.25
     return out
+
+
+def _layout_planes():
+    return next(v for key, v in approx._MEMO.items() if key[0] == "layout").planes
 
 
 def test_warm_memo_gives_cold_bits_with_fewer_gates_on_dem_syndromes(cold_plans, bond_gate_calls):
@@ -901,29 +932,66 @@ def test_warm_memo_gives_cold_bits_with_fewer_gates_on_dem_syndromes(cold_plans,
     assert 0 < warm_gates < len(bond_gate_calls)
 
 
-def test_memo_resumes_below_the_first_changed_plane(cold_plans, resumed, bond_gate_calls):
+def test_memo_resumes_below_the_first_changed_plane(cold_plans, sweeps):
     # plane a is the tensors at first coordinate a: a site layer at even a,
     # bond-plane matrices at odd a
     net = _layered_net(1)
-    for _ in range(2):  # the second sweep stores every plane's state
+    for _ in range(3):  # the second sweep stores every plane's end, the third replays it
         sweep_contract_3d(net, 6, 2, 8)
-    assert resumed[0][1] == resumed[1][1] == [False] * 7
-    planes = next(v for key, v in approx._MEMO.items() if key[0] == "layout").planes
+    assert [sorted(run) for run in sweeps] == [list(range(7))] * 2 + [[]]
+    planes = _layout_planes()
     assert [len(p.sites) for p in planes] == [4] * 7
     assert [sum(g.edge is not None for g in p.gates) for p in planes] == [2, 0] * 3 + [2]
     assert all(s.shape == (2, 2) for p in planes[1::2] for s in p.sites.values())
-    # a site or an in-plane edge tensor of layer a, or a bond-plane matrix
-    for a, matrix in [(a, m) for a in range(0, 7, 2) for m in (False, True)] + [
-            (a, True) for a in range(1, 7, 2)]:
+    for a, matrix in _CHANGES:
         changed = _changed(net, a, matrix)
-        bond_gate_calls.clear()
         got = _bits_of(sweep_contract_3d(changed, 6, 2, 8))
-        assert resumed[-1][1] == [True] * a + [False] * (7 - a), (a, matrix)
-        assert len(bond_gate_calls) == sum(len(p.gates) for p in planes[a:])
+        assert sorted(sweeps[-1]) == list(range(a, 7)), (a, matrix)
         _clear_memo()
         assert _bits_of(sweep_contract_3d(changed, 6, 2, 8)) == got
         for _ in range(2):
             sweep_contract_3d(net, 6, 2, 8)
+
+
+def test_memo_reruns_only_the_light_cone_of_a_changed_tensor(cold_plans, sweeps):
+    # The sites a changed tensor at plane a reaches, by what each operation
+    # reads: absorbing a residual reads the site; a fast-path gate reads its
+    # own end and its factors, and its bond weights read the bond and the
+    # gate; a full update reads both ends, its bond and the other bonds at
+    # both ends.  A gate's factors read the split of each end and the edge.
+    net = _layered_net(5, side=3)
+    for _ in range(2):
+        sweep_contract_3d(net, 6, 2, 8)
+    planes = _layout_planes()
+    assert [sum(full) for full, _ in sweeps[-1].values()] == [0] * 4 + [12, 0, 12]
+    local = 0
+    for a, matrix in _CHANGES:
+        tid = _target(net, a, matrix)
+        changed = _changed(net, a, matrix)
+        got = _bits_of(sweep_contract_3d(changed, 6, 2, 8))
+        run = sweeps[-1]
+        assert sorted(run) == list(range(a, 7))
+        cone, bonds = set(), set()
+        for i in range(a, 7):
+            for pos, site in planes[i].sites.items():
+                if site.tid == tid:
+                    cone.add(pos)
+            for g, full in zip(planes[i].gates, run[i][0]):
+                ends = {g.p1, g.p2}
+                new_gate = tid == g.edge or tid in (t for t, _ax in g.ends)
+                if full and (ends & cone or new_gate or any(ends & b for b in bonds)):
+                    cone |= ends
+                    bonds.add(frozenset(ends))
+                elif not full and new_gate:
+                    cone |= ends
+                    bonds.add(frozenset(ends))
+            assert run[i][1] == cone & set(planes[i].sites), (a, matrix, i)
+            local += len(run[i][1]) < len(planes[i].sites)
+        _clear_memo()
+        assert _bits_of(sweep_contract_3d(changed, 6, 2, 8)) == got
+        for _ in range(2):
+            sweep_contract_3d(net, 6, 2, 8)
+    assert local  # some planes reran only part of their sites
 
 
 @pytest.mark.parametrize("coord, message", [
@@ -943,21 +1011,31 @@ def test_sweep_layout_rejects_bad_networks_on_every_call(cold_plans, coord, mess
         assert not approx._MEMO
 
 
-def test_memo_never_resumes_at_another_chi_peps_or_log_scale(cold_plans, resumed):
+def _reused(run, planes):
+    """Whether a sweep took any plane or site from the memo."""
+    return len(run) < len(planes) or any(
+        len(reran) < len(planes[i].sites) for i, (_full, reran) in run.items())
+
+
+def test_memo_reuses_nothing_at_another_chi_peps_and_all_at_another_log_scale(cold_plans, sweeps):
     net = _layered_net(2)
     scaled = net.copy()
     scaled.add(Tensor.dense(np.array(2.0), []))  # simplify moves it into log_scale
-    values = [sweep_contract_3d(n, chi_peps, 2, 8)
-              for n, chi_peps in [(net, 6)] * 3 + [(net, 5)] * 2 + [(scaled, 6)] * 2]
-    assert [any(hits) for _reads, hits in resumed] == [False, False, True] + [False] * 4
+    runs = [(net, 6)] * 3 + [(net, 5)] * 3 + [(scaled, 6)] * 2
+    values = [sweep_contract_3d(n, chi_peps, 2, 8) for n, chi_peps in runs]
+    planes = _layout_planes()
+    assert [_reused(run, planes) for run in sweeps] == [False, False, True] * 2 + [True] * 2
+    assert not sweeps[-1]  # every plane replayed
     assert abs(values[-1].ratio_to(values[0]) - 2.0) < 1e-12
+    _clear_memo()
+    assert _bits_of(sweep_contract_3d(scaled, 6, 2, 8)) == _bits_of(values[-1])
 
 
-def test_sweep_that_raises_stores_no_state_from_its_plane_on(cold_plans, resumed,
+def test_sweep_that_raises_stores_no_state_from_its_plane_on(cold_plans, sweeps,
                                                             bond_gate_calls, monkeypatch):
     net, k = _layered_net(3), 4  # the site layer at first coordinate 4
     sweep_contract_3d(net, 6, 2, 8)
-    planes = next(v for key, v in approx._MEMO.items() if key[0] == "layout").planes
+    planes = _layout_planes()
     poison = bond_gate_calls[sum(len(p.gates) for p in planes[:k])]
     assert bond_gate_calls.count(poison) == 1
     apply = SweepState.apply_bond_gate
@@ -969,9 +1047,55 @@ def test_sweep_that_raises_stores_no_state_from_its_plane_on(cold_plans, resumed
 
     monkeypatch.setattr(SweepState, "apply_bond_gate", collapse)
     _clear_memo()
-    for stored in (0, k, k):  # marks every plane, stores planes < k, resumes
+    # the names of the sites and bonds at the ends of the planes below k
+    n_ends = sum(len(p.sites) + len({(g.p1, g.p2) for g in p.gates}) for p in planes[:k])
+    for stored in (False, True, True):  # marks every plane below k, stores them, replays them
         with pytest.raises(FloatingPointError):
             sweep_contract_3d(net, 6, 2, 8)
-        stores = [r.carrier.state is not None for r in resumed[-1][0]]
-        assert stores == [True] * stored + [False] * (7 - stored)
-    assert resumed[-1][1] == [True] * k + [False] * (7 - k)
+        ends = [v for v in approx._MEMO.values() if isinstance(v, approx._End)]
+        replays = [v for v in approx._MEMO.values() if isinstance(v, approx._Replay)]
+        assert len(ends) == n_ends and len(replays) == k * stored
+        assert all((e.array is not None) == stored for e in ends)
+    assert sorted(sweeps[-1]) == [k]  # the last sweep replayed the planes below k
+
+
+def test_memo_names_gates_after_a_full_update_on_the_same_bond(cold_plans, sweeps,
+                                                               monkeypatch):
+    # two sites joined by three direct bonds in each of two planes: at
+    # chi_peps 3 the second gate on the bond is a full update, and until the
+    # plane has run the length of its weights, and so the kind and the
+    # names of the third gate, are unknown
+    rng = np.random.default_rng(11)
+    net = TensorNetwork()
+    for a, y in np.ndindex(2, 2):
+        legs = [f"p{a},{k}" for k in range(3)] + [f"v{y}"]
+        net.add(Tensor.dense(rng.uniform(0.5, 1.5, [2] * 4), legs), coord=(2 * a, 0, y))
+    kinds = []
+    plan = approx._Sweep.plan
+
+    def planned(self, *args):
+        out = plan(self, *args)
+        kinds.append(out[2])
+        return out
+
+    monkeypatch.setattr(approx._Sweep, "plan", planned)
+    values = [_bits_of(sweep_contract_3d(net, 3, 2, 8)) for _ in range(3)]
+    assert kinds[:2] == [[False, True, None], [False, True, True]]
+    assert [sorted(run) for run in sweeps] == [[0, 1]] * 2 + [[]]
+    _clear_memo()
+    assert values == [_bits_of(sweep_contract_3d(net, 3, 2, 8))] * 3
+
+
+def test_memo_holds_only_what_the_last_sweeps_used(cold_plans, memo_keys):
+    nets = [_layered_net(seed, planes=3) for seed in range(3)]
+    changes = [(a, m) for a, m in _CHANGES if a < 5]
+    rng = np.random.default_rng(7)
+    for n in range(104):
+        net = nets[n % 3]
+        if n % 4:
+            net = _changed(net, *changes[rng.integers(len(changes))])
+        approx.sweep_contract_3d(net, 5 if n % 5 == 0 else 6, 2, 8)
+        assert set(approx._MEMO) <= _live_keys(memo_keys())
+        assert len(approx._USED) <= approx.PLAN_CACHE_SIZE
+    assert len(memo_keys()) == 104
+    assert set().union(*memo_keys()) - set(approx._MEMO)  # entries were dropped

@@ -118,6 +118,15 @@ def test_value_digest_prints_one_digest_per_workload():
     assert all(len(line.split()[1]) == 64 for line in lines)
 
 
+def test_value_digest_cold_memo_prints_the_warm_digests():
+    # emptying the sweep memo before each decode moves no bit of any value
+    runs = [subprocess.run(
+        [sys.executable, os.path.join(TOOLS, "value_digest.py"), "--quick", "--shots", "4",
+         *extra], capture_output=True, text=True, timeout=300) for extra in ((), ("--cold",))]
+    assert all(res.returncode == 0 for res in runs), [res.stderr for res in runs]
+    assert len(runs[0].stdout.split("\n")) == 4 and runs[0].stdout == runs[1].stdout
+
+
 def test_value_digest_decisions_mode_hashes_only_the_decided_classes():
     # a boundary MPS at chi 2 moves the class values of these shots but not
     # their decisions: the value digests differ, the decision digests agree

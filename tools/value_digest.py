@@ -5,6 +5,7 @@
     python3 tools/value_digest.py --quick         # tiny sizes, seconds
     python3 tools/value_digest.py --src OTHER/src # another checkout's package
     python3 tools/value_digest.py --decisions     # only the decided classes
+    python3 tools/value_digest.py --cold          # an empty sweep memo for every decode
 
 For each workload of bench/workloads.py it decodes the first --shots shots
 of workloads.DEFAULT_SEED at the workload's timed chi and prints one line
@@ -14,8 +15,10 @@ harness._decide chooses.  Two checkouts that print the same digests
 computed the same bits on those shots.  With --decisions the digest
 covers only the classes harness._decide chooses, so a kernel that moves
 values can still show that it decides every shot as another checkout
-does.  BLAS runs on one thread, as in the benchmark; the tool only reads
-bench/ and writes nothing.
+does.  With --cold the sweep memo is emptied before each decode, so every
+contraction is computed afresh: a checkout whose warm digests equal its
+cold ones shows that its memo moves no bit.  BLAS runs on one thread, as
+in the benchmark; the tool only reads bench/ and writes nothing.
 """
 import argparse
 import hashlib
@@ -28,13 +31,17 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def digest(harness, problem, config, shots: int, seed: int, decisions: bool) -> str:
+def digest(harness, problem, config, shots: int, seed: int, decisions: bool,
+           reset=lambda: None) -> str:
+    """The digest of the leading shots; reset() runs before each decode."""
     h = hashlib.sha256()
     for _, m in harness.sample_errors(problem, shots, seed):
         fields = []
         if not decisions:
+            reset()
             values = harness.decode(problem, m, config).class_values
             fields = [f"{v.mantissa.hex()},{v.log_scale.hex()}" for v in values]
+        reset()
         fields.append(str(harness._decide(problem, m, config)))
         h.update((";".join(fields) + "\n").encode())
     return h.hexdigest()
@@ -45,19 +52,22 @@ def main() -> None:
     ap.add_argument("--quick", action="store_true", help="tiny workload sizes")
     ap.add_argument("--decisions", action="store_true",
                     help="digest only the decided classes, not the values")
+    ap.add_argument("--cold", action="store_true",
+                    help="empty the sweep memo before each decode")
     ap.add_argument("--shots", type=int, default=6, help="leading shots per workload")
     ap.add_argument("--src", default=os.path.join(ROOT, "src"),
                     help="directory holding the tndecode package")
     args = ap.parse_args()
     sys.dont_write_bytecode = True  # leave no __pycache__ under bench/
     sys.path[:0] = [os.path.abspath(args.src), os.path.join(ROOT, "bench")]
-    from tndecode import harness
+    from tndecode import approx, harness
     from workloads import DEFAULT_SEED, WORKLOADS, config
 
     for name, wl in WORKLOADS.items():
         problem = wl.build(ROOT, args.quick)
         print(name, digest(harness, problem, config(wl.chi), args.shots, DEFAULT_SEED,
-                           args.decisions), flush=True)
+                           args.decisions, approx.clear_memo if args.cold else lambda: None),
+              flush=True)
 
 
 if __name__ == "__main__":
