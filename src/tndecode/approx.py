@@ -162,33 +162,117 @@ def _svd_trunc(M: np.ndarray, chi: int, rng=None):
     return u[:, :keep], s[:keep], vt[:keep]
 
 
+def _block(cols: int) -> int:
+    """Rows of a TSQR block of a matrix with cols columns: at least twice
+    cols, so that each pass of _tsqr_r at least halves the rows."""
+    return max(TSQR_BLOCK, 2 * cols)
+
+
+def _row_pieces(dims: tuple, lo: int, hi: int):
+    """Rows lo:hi of the C-order flattening of axes of shape dims as boxes
+    (index, start, stop): index, some leading ints and then one slice,
+    selects rows start:stop of an array of that shape.  A range takes at
+    most 2 len(dims) - 1 boxes."""
+    t = math.prod(dims[1:])
+    a, r = divmod(lo, t)
+    b, s = divmod(hi, t)
+    if a == b or r:  # a box inside index a of the first axis
+        for idx, p, q in _row_pieces(dims[1:], r, s if a == b else t):
+            yield (a,) + idx, a * t + p, a * t + q
+        if a == b:
+            return
+        a += 1
+    if a < b:
+        yield (slice(a, b),), a * t, b * t
+    if s:
+        for idx, p, q in _row_pieces(dims[1:], 0, s):
+            yield (b,) + idx, b * t + p, b * t + q
+
+
+def _copy_rows(M: np.ndarray, lo: int, hi: int, out: np.ndarray,
+               w: np.ndarray | None = None) -> None:
+    """Write rows lo:hi of M read as a matrix, each times its weight in w if
+    given, into out, a (hi - lo) x columns array: C-ordered, or the
+    transpose of a C-ordered array.  M is a 2D matrix, or a site view: an
+    array whose last two axes index the columns and whose other axes the
+    rows in C order, such as a site array with its bond and gate axes moved
+    last (LatticeState._site_matrix).  A site view is read box by box
+    (_row_pieces), straight from the stored array."""
+    ncol = 1 if M.ndim == 2 else 2
+    for idx, p, q in _row_pieces(M.shape[:-ncol], lo, hi):
+        src = M[idx]
+        dst = out[p - lo:q - lo].reshape(src.shape)  # only splits axes: a view
+        if w is None:
+            np.copyto(dst, src)
+        else:
+            np.multiply(src, w[p:q].reshape(src.shape[:-ncol] + (1,) * ncol), out=dst)
+
+
+def _matrix_shape(M: np.ndarray) -> tuple:
+    """(rows, columns) of M read as a matrix (see _copy_rows)."""
+    return (len(M), M.shape[1]) if M.ndim == 2 else (
+        math.prod(M.shape[:-2]), M.shape[-2] * M.shape[-1])
+
+
+def _row_chunks(M: np.ndarray):
+    """The rows of M (see _copy_rows) as chunks (lo, hi, rows lo:hi): a
+    matrix is one chunk as it is; a site view is read in C-ordered chunks
+    of whole TSQR blocks, the tail short of a block joined to the chunk
+    before it, each written into one buffer of the last chunk's size."""
+    rows, cols = _matrix_shape(M)
+    if M.ndim == 2:
+        yield 0, rows, M
+        return
+    block = _block(cols)
+    n = max(1, rows // block)
+    buf = np.empty((rows - (n - 1) * block, cols))
+    for i in range(n):
+        lo, hi = i * block, rows if i == n - 1 else (i + 1) * block
+        _copy_rows(M, lo, hi, buf[:hi - lo])
+        yield lo, hi, buf[:hi - lo]
+
+
+def _project(M: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """The C-ordered product M P^T, rows x len(P), of M read as a matrix
+    (see _copy_rows), one chunk of rows at a time (_row_chunks).  GEMM
+    computes each row of a C-ordered chunk of at least one block as it
+    does in the product of the whole C-ordered matrix, so the result has
+    the same bits; much shorter chunks can take another path through
+    OpenBLAS."""
+    out = np.empty((_matrix_shape(M)[0], len(proj)))
+    for lo, hi, chunk in _row_chunks(M):
+        np.matmul(chunk, proj.T, out=out[lo:hi])
+    return out
+
+
 def _tsqr_r(M: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     """R factor of diag(w) M = QR, min(m, n) x n, by a tall-skinny QR
     (Demmel, Grigori, Hoemmen, Langou, arXiv:0808.2664): factor blocks of
-    TSQR_BLOCK rows, stack their R factors and repeat until one block is
+    _block(n) rows, stack their R factors and repeat until one block is
     left.  Each block fits in cache, where one flat QR of a matrix with
-    millions of rows runs memory-bound; no Q is formed.  The row weights w
-    scale each block of the first pass as it is written, once, into the
-    Fortran-ordered array that geqrf factors in place, so the weighted
-    matrix is never formed whole; the result has the same bits as that of
-    M * w[:, None].  R is that of a flat QR up to the signs of its rows,
-    so R^T R = M^T diag(w)^2 M."""
-    block = max(TSQR_BLOCK, 2 * M.shape[1])  # each pass at least halves the rows
+    millions of rows runs memory-bound; no Q is formed.
+
+    M is a matrix or a site view (see _copy_rows), whose matrix is never
+    formed whole: the row weights w scale each block of the first pass as
+    it is written, once and straight from M, into the Fortran-ordered
+    array that geqrf factors in place, so neither the matrix nor the
+    weighted matrix is formed whole.  A block holds the numbers of the
+    same block of M * w[:, None] formed whole, so R has the same bits.  R
+    is that of a flat QR up to the signs of its rows, so
+    R^T R = M^T diag(w)^2 M."""
+    rows, cols = _matrix_shape(M)
+    block = _block(cols)
 
     def r(i):
-        rows = M[i:i + block]
-        # the transpose of a C-ordered (columns, rows) array is the block in
-        # Fortran order; writing it this way round reads M in long runs
-        out = np.empty(rows.shape[::-1])
-        if w is None:
-            np.copyto(out, rows.T)
-        else:
-            np.multiply(rows.T, w[i:i + block], out=out)
+        # a C-ordered (columns, rows) array is, transposed, the block in
+        # Fortran order
+        out = np.empty((cols, min(block, rows - i)))
+        _copy_rows(M, i, i + out.shape[1], out.T, w)
         return _qr(out.T, "r", overwrite=True)
 
-    while M.shape[0] > block:
-        M = np.concatenate([r(i) for i in range(0, M.shape[0], block)])
-        w = None
+    while rows > block:
+        M = np.concatenate([r(i) for i in range(0, rows, block)])
+        rows, w = len(M), None
     return r(0)
 
 
@@ -749,14 +833,17 @@ class LatticeState:
         self.add_log(log_factor)
 
     def _site_matrix(self, pos, ax, lam_at=None):
-        """The site at pos as a matrix (other axes) x (bond at ax, gate
-        leg), the weights of its other nontrivial bonds as one row scaling,
-        and the dimensions of the other axes.  lam_at maps an axis to its
-        bond weights; by default they are the state's."""
+        """The site at pos read as the matrix (other axes) x (bond at ax,
+        gate leg), the weights of its other nontrivial bonds as one row
+        scaling, and the dimensions of the other axes.  A matrix of one
+        chunk (under two blocks, see _row_chunks) is formed whole, a copy
+        only where the array's layout needs one.  A larger one is a view of
+        the stored array, never formed whole: 2D where the layout allows
+        it, otherwise a site view with the two axes moved last (see
+        _copy_rows).  lam_at maps an axis to its bond weights; by default
+        they are the state's."""
         A = self.sites[pos]
         rest = [i for i in range(A.ndim) if i not in (ax, self.GATE_AXIS)]
-        mat = np.transpose(A, rest + [ax, self.GATE_AXIS]).reshape(
-            -1, A.shape[ax] * A.shape[self.GATE_AXIS])
         if lam_at is None:
             lam_at = self._bond_weights(pos)
         w = np.ones(1)
@@ -766,7 +853,16 @@ class LatticeState:
                 w = np.multiply.outer(w, lv).ravel()
             elif A.shape[i] > 1:
                 w = np.repeat(w, A.shape[i])
-        return mat, w, [A.shape[i] for i in rest]
+        dims = tuple(A.shape[i] for i in rest)
+        mat = np.transpose(A, rest + [ax, self.GATE_AXIS])
+        cols = A.shape[ax] * A.shape[self.GATE_AXIS]
+        if math.prod(dims) < 2 * _block(cols):  # one chunk (_row_chunks), read once
+            return mat.reshape(-1, cols), w, dims
+        try:  # a layout that already is the matrix is read as it is, for its bits
+            mat = np.reshape(mat, (-1, cols), copy=False)
+        except ValueError:
+            pass
+        return mat, w, dims
 
     def _bond_weights(self, pos):
         """Bond axis of the site at pos -> weights of that bond."""
@@ -777,11 +873,14 @@ class LatticeState:
         pos as a row-weighted matrix against the bond at ax (see
         _site_matrix), and project, which maps a projector P of shape
         (new bond, bond x gate leg) to the new site array, the site matrix
-        times P^T with the new bond at ax."""
-        mat, w, rest = self._site_matrix(pos, ax)
+        times P^T with the new bond at ax.  Both read the stored array one
+        block of rows at a time (_tsqr_r, _project), so that besides the
+        new array an endpoint holds at most one chunk of its matrix, under
+        two blocks, never the whole."""
+        mat, w, dims = self._site_matrix(pos, ax)
 
         def project(proj):
-            return np.moveaxis((mat @ proj.T).reshape(rest + [len(proj)]), -1, ax)
+            return np.moveaxis(_project(mat, proj).reshape(dims + (len(proj),)), -1, ax)
 
         return _tsqr_r(mat, w), project
 
@@ -798,9 +897,11 @@ class LatticeState:
         projections A1 G R2^T v / s and A2 G^T R1^T u / s.  These equal
         W^-1 Q1 u and W^-1 Q2 v of the textbook update, so neither R^-1
         nor a division by the outer weights is needed: the only division
-        is by kept singular values.  Each endpoint is read through _factor.
-        The stored site arrays are only read; the new sites are fresh
-        arrays."""
+        is by kept singular values.  Each endpoint is read through _factor,
+        which streams the stored array: no site's matrix is formed whole,
+        so an update holds the two sites, their new arrays and a few blocks
+        of rows.  The stored site arrays are only read; the new sites are
+        fresh arrays."""
         ax1, ax2 = self.bond_axes(p1, p2)
         (R1, project1), (R2, project2) = self._factor(p1, ax1), self._factor(p2, ax2)
         lam = self.get_lam(p1, p2)
@@ -821,42 +922,48 @@ class LatticeState:
             self.rescale(pos)
 
     def to_network(self, ends=None) -> TensorNetwork:
-        """Readout as a closed network of the state's value.  Each site, in
-        position order, has its trailing leg contracted with ends[pos]
-        (without an entry that leg must have size 1), takes sqrt(lam) on
-        every bond that holds weights or has size above 1, and becomes one
-        dense tensor at pos; a site with no such bond is a scalar."""
+        """Readout as a closed network of the state's value: each site, in
+        position order, becomes one dense tensor at pos (_readout), its
+        trailing leg contracted with ends[pos] if given."""
         ends = ends or {}
         net = TensorNetwork()
         net.log_scale = self.log_scale
         for pos in sorted(self.sites):
-            A = self.sites[pos]
-            owned = pos in ends  # A is a fresh array, which may be scaled in place
-            if owned:
-                A = np.tensordot(A, ends[pos], axes=([-1], [0]))
-            elif A.shape[-1] != 1:
-                raise ValueError(f"site {pos} has an open leg and no end in readout")
-            else:
-                A = A[..., 0]
-            legs, keep_axes = [], []
-            for npos, ax in sorted(self.neighbors(pos), key=lambda t: t[1]):
-                bond = self.bond(pos, npos)
-                if A.shape[ax] == 1 and bond not in self.lam:
-                    continue
-                if npos not in self.sites:
-                    raise ValueError("dangling lattice bond in readout")
-                shape = [1] * A.ndim
-                shape[ax] = A.shape[ax]
-                weights = np.sqrt(self.get_lam(pos, npos)).reshape(shape)
-                if owned:
-                    A *= weights
-                else:
-                    A, owned = A * weights, True
-                legs.append(f"b{bond}")
-                keep_axes.append(ax)
-            net.add(Tensor.dense(A.reshape([A.shape[ax] for ax in keep_axes]), legs),
-                    coord=pos)
+            values, legs = self._readout(pos, ends.get(pos))
+            net.add(Tensor.dense(values, legs), coord=pos)
         return net
+
+    def _readout(self, pos, end) -> tuple:
+        """The site at pos as to_network reads it out, (array, legs): its
+        trailing leg contracted with end (without one that leg must have
+        size 1), sqrt(lam) taken on every bond that holds weights or has
+        size above 1, and only those bonds kept as legs; a site with no
+        such bond is a scalar."""
+        A = self.sites[pos]
+        owned = end is not None  # A is a fresh array, which may be scaled in place
+        if owned:
+            A = np.tensordot(A, end, axes=([-1], [0]))
+        elif A.shape[-1] != 1:
+            raise ValueError(f"site {pos} has an open leg and no end in readout")
+        else:
+            A = A[..., 0]
+        legs, keep_axes = [], []
+        for npos, ax in sorted(self.neighbors(pos), key=lambda t: t[1]):
+            bond = self.bond(pos, npos)
+            if A.shape[ax] == 1 and bond not in self.lam:
+                continue
+            if npos not in self.sites:
+                raise ValueError("dangling lattice bond in readout")
+            shape = [1] * A.ndim
+            shape[ax] = A.shape[ax]
+            weights = np.sqrt(self.get_lam(pos, npos)).reshape(shape)
+            if owned:
+                A *= weights
+            else:
+                A, owned = A * weights, True
+            legs.append(f"b{bond}")
+            keep_axes.append(ax)
+        return A.reshape([A.shape[ax] for ax in keep_axes]), legs
 
 
 class SweepState(LatticeState):

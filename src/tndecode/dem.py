@@ -237,7 +237,7 @@ def brute_force_class_probs(model: DetectorErrorModel, m) -> np.ndarray:
 # artifact answers every syndrome by fixing open detector legs.
 # ---------------------------------------------------------------------------
 
-from .approx import LatticeState, _tsqr_r
+from .approx import LatticeState, _row_chunks, _row_pieces, _tsqr_r
 from .builders import DecodingNetwork
 from .tensornet import TensorNetwork
 
@@ -333,6 +333,7 @@ class CompressedCubicNetwork(LatticeState):
         self.site_of = dict(site_of)  # detector/pseudo index -> site
         self.chi = chi
         self._fresh = {}  # site -> (in-bond axis, out-bond axis, flip), see snake
+        self._readouts = {}  # site -> (arrays read, {end bytes: readout}), see _readout
         open_sites = set(site_of.values())
         super().__init__({
             pos: (np.array([1.0, 0.0]).reshape((1,) * 6 + (2,))
@@ -419,7 +420,10 @@ class CompressedCubicNetwork(LatticeState):
         weights of its out-bond: R = kron(R_S, I_2).  The new array is
         S P_b^T for each b, P_b the projector's columns of bit b, written
         into the bit-b half of the doubled out-bond and flipped on the open
-        leg where the site is touched.  Any other site takes the default."""
+        leg where the site is touched.  Like the default, both read S one
+        chunk of rows at a time (_tsqr_r, _row_chunks), and each chunk's
+        products go straight into their rows of the two halves.  Any other
+        site takes the default."""
         fresh = self._fresh.pop(pos, None)
         if fresh is None:
             return super()._factor(pos, ax)
@@ -432,11 +436,17 @@ class CompressedCubicNetwork(LatticeState):
 
         def project(proj):
             k = len(proj)
-            out = np.empty(dims[:j] + [2 * dims[j]] + dims[j + 1:] + [k])
-            halves = out.reshape(dims[:j + 1] + [2] + dims[j + 1:] + [k])
-            for b in (0, 1):
-                N = (mat @ proj[:, b::2].T).reshape(dims + [k])
-                halves[(slice(None),) * (j + 1) + (b,)] = N[..., ::-1, :] if b and flip else N
+            out = np.empty(dims[:j] + (2 * dims[j],) + dims[j + 1:] + (k,))
+            halves = out.reshape(dims[:j + 1] + (2,) + dims[j + 1:] + (k,))
+            into = [halves[(slice(None),) * (j + 1) + (b,)] for b in (0, 1)]
+            if flip:
+                into[1] = into[1][..., ::-1, :]
+            for lo, hi, chunk in _row_chunks(mat):
+                for b in (0, 1):
+                    N = chunk @ proj[:, b::2].T
+                    for idx, p, q in _row_pieces(dims, lo, hi):
+                        dst = into[b][idx]
+                        dst[...] = N[p - lo:q - lo].reshape(dst.shape)
             return np.moveaxis(out, -1, ax)
 
         return np.kron(_tsqr_r(mat, w), np.eye(2)), project
@@ -479,6 +489,26 @@ class CompressedCubicNetwork(LatticeState):
                 np.array([1.0, -1.0 if t_bits[i - nd] else 1.0])
                 for i, pos in self.site_of.items()}
         return self.to_network(ends)
+
+    def _readout(self, pos, end) -> tuple:
+        """The default readout of the site at pos, cached per end: a shot
+        changes only the ends, so each detector site is read out once per
+        outcome, a logical pseudo-site once per port sign and a filler site
+        once.  An entry serves while the site's array and its bonds' weight
+        arrays are the very objects it was read from; its array is
+        read-only."""
+        arrays = [self.sites[pos]] + [self.lam.get(self.bond(pos, npos))
+                                      for npos, _ax in self.neighbors(pos)]
+        held = self._readouts.get(pos)
+        if held is None or any(a is not b for a, b in zip(held[0], arrays)):
+            held = self._readouts[pos] = (arrays, {})
+        key = None if end is None else end.tobytes()
+        out = held[1].get(key)
+        if out is None:
+            values, legs = super()._readout(pos, end)
+            values.flags.writeable = False
+            out = held[1][key] = (values, legs)
+        return out
 
     def decoding_network(self, m, ports: str = "batch") -> DecodingNetwork:
         if ports != "batch":

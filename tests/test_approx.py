@@ -1,4 +1,5 @@
 """Approximate contraction engines: exactness, gauge freedom, truncation."""
+import itertools
 import math
 
 import numpy as np
@@ -523,6 +524,117 @@ def test_tsqr_r_weights_rows_bit_for_bit(monkeypatch, m, block):
     M = rng.standard_normal((m, 6 if block else 24))
     w = rng.permutation(np.logspace(-12, 0, m))
     assert np.array_equal(approx._tsqr_r(M, w), approx._tsqr_r(M * w[:, None]))
+
+
+# Rows of a site matrix read straight from the stored array: below one
+# block, one block, one past a block, a short last block under an odd
+# leading axis, and a tail of under 128 rows that joins the chunk before it
+ROW_DIMS = {
+    "below_a_block": (10, 4, 25),
+    "one_block": (8, 2, 64),
+    "one_past_a_block": (5, 5, 41),
+    "short_last_block": (15, 4, 2, 43),
+    "tail_under_128": (12, 179),
+}
+
+
+def _spread(rng, n):
+    return rng.permutation(np.logspace(-12, 0, n))
+
+
+@pytest.mark.parametrize("rows", ROW_DIMS.values(), ids=ROW_DIMS)
+def test_site_view_reads_the_bits_of_the_whole_matrix(rows):
+    # an array read as the matrix (other axes) x (bond, gate leg), for every
+    # placement of the bond and gate axes: the streamed R and projection
+    # have the bits of _tsqr_r and the product of the C-ordered matrix
+    # formed whole, the way the kernel formed it before it streamed
+    rng = np.random.default_rng(sum(rows))
+    m = math.prod(rows)
+    w = _spread(rng, m)
+    proj = rng.standard_normal((4, 6))
+    for ax, g in itertools.permutations(range(len(rows) + 2), 2):
+        rest = [i for i in range(len(rows) + 2) if i not in (ax, g)]
+        shape = [0] * (len(rows) + 2)
+        for i, n in zip(rest + [ax, g], rows + (3, 2)):
+            shape[i] = n
+        view = np.transpose(rng.standard_normal(shape), rest + [ax, g])
+        whole = np.ascontiguousarray(view).reshape(m, 6)
+        assert np.array_equal(approx._tsqr_r(view, w), approx._tsqr_r(whole, w))
+        assert np.array_equal(approx._project(view, proj), whole @ proj.T)
+
+
+def _whole_factor(state, pos, ax):
+    """The endpoint of the simple update as the kernel read it before it
+    streamed: the site matrix formed whole by one reshape, its R by
+    _tsqr_r and its projection by one product."""
+    A = state.sites[pos]
+    rest = [i for i in range(A.ndim) if i not in (ax, state.GATE_AXIS)]
+    mat = np.transpose(A, rest + [ax, state.GATE_AXIS]).reshape(
+        -1, A.shape[ax] * A.shape[state.GATE_AXIS])
+    _, w, dims = state._site_matrix(pos, ax)
+
+    def project(proj):
+        return np.moveaxis((mat @ proj.T).reshape(dims + (len(proj),)), -1, ax)
+
+    return approx._tsqr_r(mat, w), project
+
+
+def _site_states():
+    """A SweepState site with two pending gate legs after its gate axis, and
+    a compressor site with its unit gate axis 7, each C-ordered and as a
+    projection leaves it (the new bond's axis innermost), with bond weights
+    spread over 1e-12..1 on every bond."""
+    from tndecode.dem import CompressedCubicNetwork, DetectorErrorModel
+
+    rng = np.random.default_rng(57)
+    sweep = SweepState([(1, 1)])
+    cubic = CompressedCubicNetwork(DetectorErrorModel(), (3, 3, 3), {}, None)
+    for state, pos, shape in ((sweep, (1, 1), (15, 4, 3, 5, 2, 3, 2, 3)),
+                              (cubic, (1, 1, 1), (15, 3, 4, 2, 5, 3, 2, 1))):
+        for npos, ax in state.neighbors(pos):
+            state.lam[state.bond(pos, npos)] = _spread(rng, shape[ax])
+        for layout in ("c", "projected"):
+            A = rng.standard_normal(shape)
+            if layout == "projected":  # bond 1 was the last one updated
+                A = np.moveaxis(np.ascontiguousarray(np.moveaxis(A, 1, -1)), -1, 1)
+            state.sites[pos] = A
+            yield state, pos
+
+
+def test_site_factor_has_the_bits_of_the_whole_site_matrix():
+    rng = np.random.default_rng(58)
+    for state, pos in _site_states():
+        for _npos, ax in state.neighbors(pos):
+            (R, project), (R0, project0) = state._factor(pos, ax), _whole_factor(state, pos, ax)
+            assert np.array_equal(R, R0)
+            proj = rng.standard_normal((5, R.shape[1]))
+            got, want = project(proj), project0(proj)
+            assert np.array_equal(got, want) and got.strides == want.strides
+
+
+def test_simple_update_forms_no_whole_site_matrix():
+    # one full update on a 32 MiB endpoint allocates its new sites and a few
+    # blocks of rows, not a copy of the endpoint's matrix
+    import tracemalloc
+
+    rng = np.random.default_rng(59)
+    a, b = (0, 0), (1, 0)
+    state = SweepState([a, b])
+    state.sites[a] = rng.standard_normal((16, 16, 16, 16, 16, 4))  # 32 MiB
+    state.sites[b] = rng.standard_normal((16, 4, 4, 1, 1, 4))
+    state.lam[state.bond(a, b)] = _spread(rng, 16)
+    state.lam[state.bond((-1, 0), a)] = _spread(rng, 16)
+    block_bytes = approx._block(64) * 64 * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        state.simple_update(a, b, rng.standard_normal((4, 4)), chi=8)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    new = state.sites[a].nbytes + state.sites[b].nbytes
+    assert state.sites[a].shape == (16, 8, 16, 16, 16)
+    assert peak <= new + 6 * block_bytes, (peak, new, block_bytes)
 
 
 def _pair_value(state, p1, p2, gate=None):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tests._oracles import dem_all_class_probs, lattice_value, syndrome_index
+from tndecode.approx import _tsqr_r
 from tndecode.dem import (
     CompressedCubicNetwork,
     CompressionError,
@@ -305,6 +306,35 @@ def test_closed_network_leaves_the_syndrome_alone():
     assert m.tolist() == [0, 1, 1]
 
 
+def test_closed_network_reuses_readouts_while_the_lattice_holds_their_arrays():
+    # a shot changes only the ends: each site's readout is made once per end
+    # by the default readout's own operations, read-only, and made again
+    # once the site's array or one of its bonds' weights is replaced
+    from tndecode.approx import LatticeState
+
+    state = compress_dem(_baseline_model(), None, dims=(2, 2, 2))
+    site_of = state.site_of
+
+    def readouts(bits, t):
+        net = state._closed_network(np.array(bits, np.uint8), [t])
+        return {net.coords[tid]: t.values for tid, t in net.tensors.items()}
+
+    first = readouts((1, 0, 1), 1)
+    ends = {site_of[i]: np.eye(2)[b ^ (i == 1)] for i, b in enumerate((1, 0, 1))}
+    ends[site_of[3]] = np.array([1.0, -1.0])
+    for pos, values in first.items():
+        want, _legs = LatticeState._readout(state, pos, ends.get(pos))
+        assert np.array_equal(values, want) and not values.flags.writeable
+    assert all(readouts((1, 0, 1), 1)[pos] is values for pos, values in first.items())
+    other = readouts((0, 0, 1), 1)
+    assert [pos for pos in first if other[pos] is not first[pos]] == [site_of[0]]
+    p, q = next(iter(state.lam))
+    state.lam[(p, q)] = state.lam[(p, q)].copy()
+    again = readouts((1, 0, 1), 1)
+    assert {pos for pos in first if again[pos] is not first[pos]} == {p, q}
+    assert all(np.array_equal(again[pos], first[pos]) for pos in first)
+
+
 def test_truncate_all_caps_every_bond():
     rng = np.random.default_rng(41)
     model = random_dem(rng, 8, 16, with_coords=True)
@@ -441,6 +471,62 @@ def test_fresh_site_truncation_matches_the_doubled_site(ax_in, ax_out, dd, flip,
         g, w = got.sites[pos], want.sites[pos] * _along(sign, ax, 7)
         assert g.shape == w.shape
         assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+def _whole_fresh_factor(state, pos, ax):
+    """The fresh-site endpoint as the compressor read it before it
+    streamed: the old site's matrix formed whole by one reshape, and one
+    product per wire bit written into its half of the doubled out-bond."""
+    ax_in, ax_out, flip = state._fresh[pos]
+    lam_at = state._bond_weights(pos)
+    lam_at[ax_out] = lam_at[ax_out][::2]
+    A = state.sites[pos]
+    rest = [i for i in range(A.ndim) if i not in (ax, 7)]
+    mat = np.transpose(A, rest + [ax, 7]).reshape(-1, A.shape[ax])
+    _, w, dims = state._site_matrix(pos, ax, lam_at)
+    dims = list(dims)
+    j = ax_out - (ax_out > ax)
+
+    def project(proj):
+        k = len(proj)
+        out = np.empty(dims[:j] + [2 * dims[j]] + dims[j + 1:] + [k])
+        halves = out.reshape(dims[:j + 1] + [2] + dims[j + 1:] + [k])
+        for b in (0, 1):
+            N = (mat @ proj[:, b::2].T).reshape(dims + [k])
+            halves[(slice(None),) * (j + 1) + (b,)] = N[..., ::-1, :] if b and flip else N
+        return np.moveaxis(out, -1, ax)
+
+    return np.kron(_tsqr_r(mat, w), np.eye(2)), project
+
+
+@pytest.mark.parametrize("ax_in, ax_out, bonds", [
+    (1, 4, (15, 4, 3, 2, 5, 3)),  # 2700 rows with the open leg: a chunk and a half
+    (5, 2, (15, 4, 3, 2, 5, 3)),  # 3600 rows
+    (0, 3, (15, 4, 3, 2, 5, 3)),  # 720 rows: below one block
+    (2, 0, (6, 179, 3, 1, 1, 1)),  # 2148 rows: a tail of 100 joins the chunk before it
+])
+@pytest.mark.parametrize("dd, flip", [(2, True), (2, False), (1, False)],
+                         ids=["touched", "untouched", "filler"])
+def test_fresh_site_factor_has_the_bits_of_the_whole_matrix(ax_in, ax_out, bonds, dd, flip):
+    rng = np.random.default_rng(64 + ax_in + dd)
+    p1 = (1, 1, 1)
+    state = CompressedCubicNetwork(DetectorErrorModel(), (3, 3, 3), {}, None)
+    for ax, n in enumerate(bonds):
+        lam = rng.permutation(np.logspace(-12, 0, n))
+        bond = state.bond(p1, tuple(np.add(p1, STEP[ax])))
+        state.lam[bond] = np.kron(lam, np.ones(2)) if ax == ax_out else lam
+    for layout in ("c", "projected"):
+        S = rng.standard_normal(bonds + (dd,))
+        if layout == "projected":  # the in-bond was the last one updated
+            S = np.moveaxis(np.ascontiguousarray(np.moveaxis(S, ax_in, -1)), -1, ax_in)
+        state.sites[p1] = S[..., None]
+        state._fresh[p1] = (ax_in, ax_out, flip)
+        R0, project0 = _whole_fresh_factor(state, p1, ax_in)
+        R, project = state._factor(p1, ax_in)
+        assert not state._fresh and np.array_equal(R, R0)
+        proj = rng.standard_normal((5, R.shape[1]))
+        got, want = project(proj), project0(proj)
+        assert np.array_equal(got, want) and got.strides == want.strides
 
 
 def test_snake_keeps_held_arrays_and_leaves_no_fresh_site():

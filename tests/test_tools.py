@@ -14,6 +14,7 @@ from tndecode.dem import DetectorErrorModel, Mechanism
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 TOOLS = os.path.join(ROOT, "tools")
 sys.path.insert(0, TOOLS)
+WORKLOAD_LINES = ["point-d5", "depol-d3", "dem-d3"]
 
 from check_smoke_ml import class_prob_table  # noqa: E402
 from value_digest import digest  # noqa: E402
@@ -114,8 +115,35 @@ def test_value_digest_prints_one_digest_per_workload():
     )
     assert res.returncode == 0, res.stderr
     lines = res.stdout.split("\n")[:-1]
-    assert [line.split()[0] for line in lines] == ["point-d5", "depol-d3", "dem-d3"]
+    assert [line.split()[0] for line in lines] == [*WORKLOAD_LINES, "dem-d3-lattice"]
     assert all(len(line.split()[1]) == 64 for line in lines)
+
+
+def test_value_digest_covers_the_compressed_lattice():
+    # the last line digests the compressed lattice: a change of one bit of
+    # a site array, a bond weight or the log_scale changes it
+    from tndecode.dem import compress_dem, parse_dem
+    from value_digest import lattice_digest
+
+    res = subprocess.run(
+        [sys.executable, os.path.join(TOOLS, "value_digest.py"), "--quick", "--shots", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    name, value = res.stdout.split("\n")[-2].split()
+    assert name == "dem-d3-lattice" and len(value) == 64
+    state = compress_dem(parse_dem("error(0.1) D0 D1\nerror(0.2) D1 D2 L0\n"), 4)
+    want = lattice_digest(state)
+    for arrays in (state.sites, state.lam):
+        key = max(arrays, key=lambda k: arrays[k].size)
+        held = arrays[key]
+        arrays[key] = held.copy()
+        arrays[key].flat[0] = np.nextafter(held.flat[0], np.inf)
+        assert lattice_digest(state) != want
+        arrays[key] = held
+    assert lattice_digest(state) == want
+    state.log_scale = np.nextafter(state.log_scale, np.inf)
+    assert lattice_digest(state) != want
 
 
 def test_value_digest_cold_memo_prints_the_warm_digests():
@@ -124,7 +152,7 @@ def test_value_digest_cold_memo_prints_the_warm_digests():
         [sys.executable, os.path.join(TOOLS, "value_digest.py"), "--quick", "--shots", "4",
          *extra], capture_output=True, text=True, timeout=300) for extra in ((), ("--cold",))]
     assert all(res.returncode == 0 for res in runs), [res.stderr for res in runs]
-    assert len(runs[0].stdout.split("\n")) == 4 and runs[0].stdout == runs[1].stdout
+    assert len(runs[0].stdout.split("\n")) == 5 and runs[0].stdout == runs[1].stdout
 
 
 def test_value_digest_decisions_mode_hashes_only_the_decided_classes():
@@ -148,4 +176,4 @@ def test_value_digest_decisions_mode_hashes_only_the_decided_classes():
     )
     assert res.returncode == 0, res.stderr
     lines = res.stdout.split("\n")[:-1]
-    assert [line.split()[0] for line in lines] == ["point-d5", "depol-d3", "dem-d3"]
+    assert [line.split()[0] for line in lines] == [*WORKLOAD_LINES, "dem-d3-lattice"]

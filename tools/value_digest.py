@@ -12,7 +12,10 @@ of workloads.DEFAULT_SEED at the workload's timed chi and prints one line
 "<workload> <sha256>".  The digest covers, per shot, every class value of
 harness.decode (mantissa and log_scale as float hex) and the class
 harness._decide chooses.  Two checkouts that print the same digests
-computed the same bits on those shots.  With --decisions the digest
+computed the same bits on those shots.  A last line "dem-d3-lattice
+<sha256>" covers the compressed lattice that the dem-d3 workload decodes:
+the shape and bits of every site array and bond weight vector after
+compress_dem(model, 16) and truncate_all(8), and its log_scale.  With --decisions the digest
 covers only the classes harness._decide chooses, so a kernel that moves
 values can still show that it decides every shot as another checkout
 does.  With --cold the sweep memo is emptied before each decode, so every
@@ -47,6 +50,16 @@ def digest(harness, problem, config, shots: int, seed: int, decisions: bool,
     return h.hexdigest()
 
 
+def lattice_digest(state) -> str:
+    """The digest of a compressed lattice: its log_scale, and the shape and
+    bits of every site array and bond weight vector."""
+    h = hashlib.sha256(state.log_scale.hex().encode())
+    for key, a in sorted(state.sites.items()) + sorted(state.lam.items()):
+        h.update(f"{key}{a.shape}".encode())
+        h.update(a.tobytes())  # in C order, whatever the layout
+    return h.hexdigest()
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true", help="tiny workload sizes")
@@ -60,15 +73,22 @@ def main() -> None:
     args = ap.parse_args()
     sys.dont_write_bytecode = True  # leave no __pycache__ under bench/
     sys.path[:0] = [os.path.abspath(args.src), os.path.join(ROOT, "bench")]
-    from tndecode import approx, harness
-    from workloads import DEFAULT_SEED, WORKLOADS, config
+    from tndecode import approx, dem, harness
+    from workloads import DEFAULT_SEED, WORKLOADS, _toy_dem_text, config
 
     for name, wl in WORKLOADS.items():
         problem = wl.build(ROOT, args.quick)
         print(name, digest(harness, problem, config(wl.chi), args.shots, DEFAULT_SEED,
                            args.decisions, approx.clear_memo if args.cold else lambda: None),
               flush=True)
-
+    if args.quick:  # the dem-d3 workload's model, as bench/workloads.py builds it
+        model = dem.parse_dem(_toy_dem_text())
+    else:
+        with open(os.path.join(ROOT, "tests", "data", "rotated_d3.dem")) as f:
+            model = dem.parse_dem(f.read()).scaled(0.5)
+    state = dem.compress_dem(model, 16)
+    state.truncate_all(8)
+    print("dem-d3-lattice", lattice_digest(state), flush=True)
 
 if __name__ == "__main__":
     main()
