@@ -547,7 +547,7 @@ def test_site_view_reads_the_bits_of_the_whole_matrix(rows):
     # an array read as the matrix (other axes) x (bond, gate leg), for every
     # placement of the bond and gate axes: the streamed R and projection
     # have the bits of _tsqr_r and the product of the C-ordered matrix
-    # formed whole, the way the kernel formed it before it streamed
+    # formed whole
     rng = np.random.default_rng(sum(rows))
     m = math.prod(rows)
     w = _spread(rng, m)
@@ -564,9 +564,9 @@ def test_site_view_reads_the_bits_of_the_whole_matrix(rows):
 
 
 def _whole_factor(state, pos, ax):
-    """The endpoint of the simple update as the kernel read it before it
-    streamed: the site matrix formed whole by one reshape, its R by
-    _tsqr_r and its projection by one product."""
+    """The reference for an endpoint of the simple update: the site matrix
+    formed whole by one reshape, its R by _tsqr_r and its projection by one
+    product."""
     A = state.sites[pos]
     rest = [i for i in range(A.ndim) if i not in (ax, state.GATE_AXIS)]
     mat = np.transpose(A, rest + [ax, state.GATE_AXIS]).reshape(

@@ -474,9 +474,9 @@ def test_fresh_site_truncation_matches_the_doubled_site(ax_in, ax_out, dd, flip,
 
 
 def _whole_fresh_factor(state, pos, ax):
-    """The fresh-site endpoint as the compressor read it before it
-    streamed: the old site's matrix formed whole by one reshape, and one
-    product per wire bit written into its half of the doubled out-bond."""
+    """The reference for a fresh-site endpoint: the old site's matrix formed
+    whole by one reshape, and one product per wire bit written into its
+    half of the doubled out-bond."""
     ax_in, ax_out, flip = state._fresh[pos]
     lam_at = state._bond_weights(pos)
     lam_at[ax_out] = lam_at[ax_out][::2]
