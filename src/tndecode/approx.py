@@ -35,10 +35,8 @@ a plane is stored under the name of the computation that made it, which
 chains the names of what that computation read.  A fast-path gate reads
 only its own end, so a site's name changes only with its own residuals,
 its gates and, through full simple updates, its neighbours, and a plane
-reruns only the sites whose names it has not stored.  A plane whose every
-site and bond is stored has one more entry, under the bits of all inputs
-up to it, from which a sweep replays it whole.  The Monte Carlo shots of
-one problem share most of these and differ in the parity weights of the
+reruns only the sites whose names it has not stored: none where it has
+stored every site and bond.  The Monte Carlo shots of one problem share most of these and differ in the parity weights of the
 eq/par sites, which are read per shot.  Equal inputs go through equal
 operations (the simple update is deterministic), and the log factors of
 each operation are stored with its arrays and added in program order, so
@@ -479,7 +477,7 @@ def mps_contract_2d(net: TensorNetwork, chi: int) -> ContractionValue:
 # at large bond dimension; 2^26 floats is still only 0.5 GB
 SITE_DENSIFY_CAP = 1 << 26
 PLAN_CACHE_SIZE = 8  # sweeps whose memo entries stay
-_MEMO: dict = {}  # memo key -> layout, dense-site split, BondGate, _End or _Replay
+_MEMO: dict = {}  # memo key -> layout, dense-site split, BondGate or _End
 _USED: list = []  # the memo keys each of the last PLAN_CACHE_SIZE sweeps used, oldest first
 _LAYOUTS = itertools.count()  # numbers each sweep layout made, for its name
 
@@ -515,24 +513,16 @@ def _memo(key, make, *args):
 _NO_NAME = bytes(16)  # stands for an absent input in a name
 
 
-def _name(*parts: bytes | None) -> bytes | None:
+def _name(*parts: bytes) -> bytes:
     """A 16-byte digest (of SHA-256) that names a computation from its
     parts: a one-byte tag for its kind, then its inputs, as names and
-    packed ints (_ints), in a layout that the tag fixes.  None, unnamed,
-    when an input is unnamed."""
-    if None in parts:
-        return None
+    packed ints (_ints), in a layout that the tag fixes."""
     return hashlib.sha256(b"".join(parts)).digest()[:16]
 
 
 def _ints(*ns: int) -> bytes:
     """ns packed as a part of a name."""
     return struct.pack(f"<{len(ns)}q", *ns)
-
-
-def _bits(a: np.ndarray) -> tuple:
-    """A key of an array's dtype, shape and bits (so -0.0 differs from 0.0)."""
-    return a.dtype.str, a.shape, a.tobytes()
 
 
 def _bits_name(a: np.ndarray) -> bytes:
@@ -1042,7 +1032,8 @@ class _End:
     array is None, a marker, until the name is seen a second time; then it
     is the read-only array, terms the log factors that the operations on
     the site (or bond) in that plane took out, and cuts a bond's
-    truncation cuts, each in program order."""
+    truncation cut per gate (0.0 on the fast path), each in program
+    order."""
 
     __slots__ = ("array", "terms", "cuts")
 
@@ -1050,62 +1041,30 @@ class _End:
         self.array, self.terms, self.cuts = None, (), ()
 
 
-class _Replay(NamedTuple):
-    """What a plane did: the name and array of each of its sites, and of
-    the weights of each of its gates' bonds, at its end, as (pos or bond,
-    name, array), and the log factors and truncation cuts of all its
-    operations in program order.  It is the memo entry of a plane whose
-    every site and bond the memo holds at its end, under the plane's chain
-    key, so that a sweep that reaches the plane with the same inputs
-    replays it with one lookup."""
-
-    sites: tuple
-    bonds: tuple
-    terms: tuple
-    cuts: tuple
+def _read_plane(work: TensorNetwork, plane) -> tuple:
+    """A plane's inputs, each tensor densified once: each site's residual
+    by tid, and the dense edge tensor (or None) of each gate."""
+    residuals = {}
+    for site in plane.sites.values():
+        arr = np.transpose(work.tensors[site.tid].densify(SITE_DENSIFY_CAP), site.perm)
+        residuals[site.tid] = arr.reshape(site.shape)
+    edges = [None if g.edge is None else work.tensors[g.edge].densify() for g in plane.gates]
+    return residuals, edges
 
 
-class _PlaneInputs(NamedTuple):
-    """What a sweep reads of one plane before the first step: each site's
-    residual by tid, the dense edge tensor (or None) of each gate, and the
-    chain key of the inputs up to this plane."""
-
-    residuals: dict
-    edges: list
-    chain: tuple
-
-
-def _read_planes(work: TensorNetwork, planes, root: tuple) -> list:
-    """Read every plane's inputs (_PlaneInputs), densifying each tensor once.
-    The chain key of plane i holds the one below it (root for the first
-    plane) and the bits of plane i's residuals and edge tensors."""
-    out, chain = [], root
-    for plane in planes:
-        residuals = {}
-        for site in plane.sites.values():
-            arr = np.transpose(work.tensors[site.tid].densify(SITE_DENSIFY_CAP), site.perm)
-            residuals[site.tid] = arr.reshape(site.shape)
-        edges = [None if g.edge is None else work.tensors[g.edge].densify()
-                 for g in plane.gates]
-        chain = ("plane", chain, *map(_bits, residuals.values()),
-                 *(None if e is None else _bits(e) for e in edges))
-        out.append(_PlaneInputs(residuals, edges, chain))
-    return out
-
-
-def _input_names(plane, r: _PlaneInputs, chi_split: int) -> tuple:
+def _input_names(plane, residuals: dict, edges: list, chi_split: int) -> tuple:
     """The names of a plane's inputs: of each site's residual by tid (a
     dense site's is its split name, of chi_split and the residual's
     bits), of the dense sites' splits alone, and of each gate."""
-    names = {tid: _bits_name(arr) for tid, arr in r.residuals.items()}
+    names = {tid: _bits_name(arr) for tid, arr in residuals.items()}
     split_names = {s.tid: _name(b"s", _ints(chi_split), names[s.tid])
                    for s in plane.sites.values() if s.dense}
     names.update(split_names)
-    gate_names = [_gate_name(g, edge, split_names) for g, edge in zip(plane.gates, r.edges)]
+    gate_names = [_gate_name(g, edge, split_names) for g, edge in zip(plane.gates, edges)]
     return names, split_names, gate_names
 
 
-def _held(name: bytes | None) -> _End | None:
+def _held(name: bytes) -> _End | None:
     """The memo entry of a stored plane-end array under name, recorded as
     used, or None."""
     entry = _MEMO.get(name)
@@ -1156,7 +1115,7 @@ class _Sweep:
         self.bond_names: dict = {}
         self.chi_peps, self.chi_split = chi_peps, chi_split
 
-    def plan(self, i, plane, inputs, gate_names, gates, start, lens) -> tuple:
+    def plan(self, i, plane, inputs, gate_names, gates, start) -> tuple:
         """Name each operation of plane i in program order, from the names
         of the sites and bonds before it and those of the plane's inputs
         (_input_names):
@@ -1168,13 +1127,13 @@ class _Sweep:
           the bond and of every other bond at both ends, and its place;
           its ends and bond are named after it.
         Whether a gate runs as a full update follows from the length of the
-        bond's weights, which start holds by bond as the plane starts.  A
-        full update's weights have the length that lens gives by gate index,
-        where the plane has run, or else the one stored under its name;
-        without either, the gates after it on that bond are unnamed.
-        Returns the names of the plane's sites and of its gates' bonds at
-        its end, and for each gate True (full update), False (fast path)
-        or None (unknown)."""
+        bond's weights, which start holds by bond as the plane starts.  The
+        length a full update leaves is unknown until it has run, so each
+        later gate on that bond in the plane is named as a full update,
+        whose name holds all that a fast-path gate reads.  Returns the
+        names of the plane's sites and of its gates' bonds at its end, and
+        for each gate True (full update), False (fast path) or None
+        (unknown)."""
         state = self.state
         names = {pos: self.names[pos] for pos in plane.sites}
         bonds, lengths, full = {}, dict(start), []
@@ -1194,31 +1153,30 @@ class _Sweep:
                       for pos, other in ((g.p1, g.p2), (g.p2, g.p1))
                       for npos, _ax in state.neighbors(pos) if npos != other
                       for nb in [state.bond(pos, npos)]]
-            f = None if n is None else _name(b"u", names[g.p1], names[g.p2], gname, kb,
-                                              _ints(i, j), *others)
+            f = _name(b"u", names[g.p1], names[g.p2], gname, kb, _ints(i, j), *others)
             full.append(None if n is None else True)
             names[g.p1], names[g.p2], bonds[b] = _name(b"e", f, b"\0"), _name(b"e", f, b"\1"), f
-            entry = _MEMO.get(f) if f is not None else None
-            lengths[b] = lens.get(j, None if entry is None or entry.array is None
-                                  else len(entry.array))
+            lengths[b] = None
         return names, bonds, full
 
-    def run_plane(self, i, plane, r) -> _Replay:
-        """Run plane i from the names its inputs and the state before it
-        give each site and bond at its end (plan).  A site whose array at
-        that end the memo holds (a clean site) takes it; the others rerun
-        the plane from its start (_rerun).  Each operation's log factors
-        and cut are the ones it records or, where it does not run, the ones
-        stored with its clean sites and bond, so the plane's factors come
-        in program order."""
+    def run_plane(self, i, plane, residuals, edges) -> tuple:
+        """Run plane i, whose residuals by tid and gates' edge tensors
+        _read_plane gives, from the names its inputs and the state before
+        it give each site and bond at its end (plan).  A site whose array
+        at that end the memo holds (a clean site) takes it; the others
+        rerun the plane from its start (_rerun), none if every site and
+        bond is clean.  Each operation's log factors and cut are the ones
+        it records or, where it does not run, the ones stored with its
+        clean sites and bond.  Returns the plane's log factors and
+        truncation cuts, each in program order."""
         state, chi = self.state, self.chi_peps
-        inputs, split_names, gate_names = _input_names(plane, r, self.chi_split)
-        splits = {tid: _memo(key, _split_site, r.residuals[tid], self.chi_split)
+        inputs, split_names, gate_names = _input_names(plane, residuals, edges, self.chi_split)
+        splits = {tid: _memo(key, _split_site, residuals[tid], self.chi_split)
                   for tid, key in split_names.items()}
         gates = [_memo(key, _bond_gate, g, edge, splits)
-                 for g, edge, key in zip(plane.gates, r.edges, gate_names)]
+                 for g, edge, key in zip(plane.gates, edges, gate_names)]
         start = {state.bond(g.p1, g.p2): len(state.get_lam(g.p1, g.p2)) for g in plane.gates}
-        names, bonds, full = self.plan(i, plane, inputs, gate_names, gates, start, {})
+        names, bonds, full = self.plan(i, plane, inputs, gate_names, gates, start)
         held = {pos: _held(name) for pos, name in names.items()}
         held_bonds = {b: _held(name) for b, name in bonds.items()}
         dirty = _rerun(plane, full, held, held_bonds)
@@ -1226,23 +1184,22 @@ class _Sweep:
         stored_bonds = {b: (iter(entry.terms), iter(entry.cuts))
                         for b, entry in held_bonds.items() if entry is not None}
         site_terms = {pos: [] for pos in dirty}
-        bond_terms, bond_cuts, lens, terms, cuts = {}, {}, {}, [], []
+        bond_terms, bond_cuts, terms, cuts = {}, {}, [], []
         for pos, site in plane.sites.items():
             if pos in dirty:
-                arr = splits[site.tid][0] if site.dense else r.residuals[site.tid]
+                arr = splits[site.tid][0] if site.dense else residuals[site.tid]
                 state.sites[pos] = np.tensordot(state.sites[pos], arr, axes=([4], [0]))
                 state.rescale(pos)
                 site_terms[pos] += state.take()
                 terms.append(site_terms[pos][-1])
             else:
                 terms.append(next(stored[pos]))
-        for j, (g, gate, f) in enumerate(zip(plane.gates, gates, full)):
+        for g, gate in zip(plane.gates, gates):
             b, ends = state.bond(g.p1, g.p2), (g.p1, g.p2)
             if dirty.isdisjoint(ends) and held_bonds[b]:
                 log_iter, cut_iter = stored_bonds[b]
                 log_bond = next(log_iter)
-                if f:
-                    cuts.append(next(cut_iter))
+                cuts.append(next(cut_iter))
                 terms += [log_bond, *(next(stored[pos]) for pos in ends)]
                 continue
             # the fast path reads no partner: a clean end gets a stand-in,
@@ -1252,14 +1209,11 @@ class _Sweep:
                     state.sites[pos] = np.ones((1, 1, 1, 1, 1, dim))
                 elif ax:
                     state.sites[pos] = np.moveaxis(state.sites[pos], 5 + ax, 5)
-            ran_full = state.full_update(len(state.get_lam(*ends)), gate, chi)
-            state.truncation_cut = 0.0
+            state.truncation_cut = 0.0  # and so it stays on the fast path
             state.apply_bond_gate(g.p1, g.p2, gate, chi)
             log_bond, *log_ends = state.take()
-            if ran_full:
-                cuts.append(state.truncation_cut)
-                bond_cuts.setdefault(b, []).append(cuts[-1])
-                lens[j] = len(state.lam[b])
+            cuts.append(state.truncation_cut)
+            bond_cuts.setdefault(b, []).append(cuts[-1])
             bond_terms.setdefault(b, []).append(log_bond)
             for e, pos in enumerate(ends):
                 if pos in dirty:
@@ -1267,8 +1221,6 @@ class _Sweep:
                 else:
                     log_ends[e] = next(stored[pos])
             terms += [log_bond, *log_ends]
-        if None in names.values() or None in bonds.values():
-            names, bonds, _ = self.plan(i, plane, inputs, gate_names, gates, start, lens)
         for pos, name in names.items():
             if pos in dirty:
                 held[pos] = _keep(name, state.sites[pos], site_terms[pos])
@@ -1276,27 +1228,12 @@ class _Sweep:
                 state.sites[pos] = held[pos].array
         for b, name in bonds.items():
             if b in bond_terms:
-                held_bonds[b] = _keep(name, state.lam[b], bond_terms[b], bond_cuts.get(b, ()))
+                held_bonds[b] = _keep(name, state.lam[b], bond_terms[b], bond_cuts[b])
             if held_bonds[b].array is not None:
                 state.lam[b] = held_bonds[b].array
         self.names.update(names)
         self.bond_names.update(bonds)
-        replay = _Replay(tuple((pos, name, state.sites[pos]) for pos, name in names.items()),
-                         tuple((b, name, state.lam[b]) for b, name in bonds.items()),
-                         tuple(terms), tuple(cuts))
-        if all(e.array is not None for e in (*held.values(), *held_bonds.values())):
-            _memo(r.chain, lambda: replay)
-        return replay
-
-    def replay(self, replay: _Replay) -> None:
-        """Take a plane's end from its memo entry."""
-        used = _USED[-1]
-        for pos, name, arr in replay.sites:
-            self.state.sites[pos], self.names[pos] = arr, name
-            used.add(name)
-        for b, name, lam in replay.bonds:
-            self.state.lam[b], self.bond_names[b] = lam, name
-            used.add(name)
+        return terms, cuts
 
 
 def sweep_contract_3d(net: TensorNetwork, chi_peps: int, chi_split: int,
@@ -1311,20 +1248,18 @@ def sweep_contract_3d(net: TensorNetwork, chi_peps: int, chi_split: int,
     no gates.  The remaining 2D network goes to the boundary MPS at
     chi_mps.
 
-    Every input is read in one loop before the first step (_read_planes).
+    Each plane's inputs are read as the sweep reaches it (_read_plane).
     The layout of the planes, the split of each dense site and the SVD
     factors of each gate come from the memo (_memo), keyed by the
     simplified network's shape or by the name of their inputs.  So do
     the arrays of the carrier: every carrier site's array and every bond's
     weights has a name (_Sweep.plan) that chains its inputs from the
     layout and chi_peps on, and each plane reruns only the sites whose
-    array at its end the memo does not hold (_Sweep.run_plane).  A plane
-    whose every site and bond the memo holds at its end is replayed whole
-    from one entry, keyed by the bits of every input up to it.  An array is stored
-    the second time its name is seen, so only recurring computations cost
-    memory.  The network's log_scale is no input of any array: the log
-    factors of each operation are stored with its arrays and added to it
-    in program order.  Memoized or made afresh, equal inputs go through
+    array at its end the memo does not hold (_Sweep.run_plane), none if
+    it holds them all.  An array is stored the second time its name is
+    seen, so only recurring computations cost memory.  The network's
+    log_scale is no input of any array: the log factors of each operation
+    are stored with its arrays and added to it in program order.  Memoized or made afresh, equal inputs go through
     equal operations, so the value has the same bits.
     """
     work, value = _simplified(net)
@@ -1334,17 +1269,11 @@ def sweep_contract_3d(net: TensorNetwork, chi_peps: int, chi_split: int,
     layout = _memo(_shape_key(work), _sweep_layout, work)
     sweep = _Sweep(layout, chi_peps, chi_split)
     log, cut = work.log_scale, 0.0
-    reads = _read_planes(work, layout.planes, (layout.name, chi_peps, chi_split))
-    for i, (plane, r) in enumerate(zip(layout.planes, reads)):
-        replay = _MEMO.get(r.chain)
-        if replay is None:
-            replay = sweep.run_plane(i, plane, r)
-        else:
-            _USED[-1].add(r.chain)
-            sweep.replay(replay)
-        for term in replay.terms:
+    for i, plane in enumerate(layout.planes):
+        terms, cuts = sweep.run_plane(i, plane, *_read_plane(work, plane))
+        for term in terms:
             log += term
-        for term in replay.cuts:
+        for term in cuts:
             cut += term
     sweep.state.log_scale, sweep.state.truncation_cut = log, cut
     return mps_contract_2d(sweep.state.to_network(), chi_mps)

@@ -227,6 +227,22 @@ class DemProblem:
         return cls ^ self.base_l, m
 
 
+def _class_values(problem, m, config: ContractionConfig, all_plus: bool = True):
+    """The decoding network of m and its class values, each network
+    contracted by the engine that config picks.
+
+    Without all_plus, the all-plus setting t=0 of WHT ports is neither
+    built nor contracted: it adds the same f_0 / 2^k to every class value,
+    so it cannot move the argmax, and it enters the transform as zero.
+    """
+    dn = problem.network(m)
+    skip = 1 if dn.n_ports and not all_plus else 0
+    nets = dn.networks(skip)
+    contract = _contractor(nets[0], config)
+    vals = [ContractionValue(0.0)] * skip + [contract(net) for net in nets]
+    return dn, dn.to_class_values(vals)
+
+
 def decode(problem, m, config: ContractionConfig = ContractionConfig()) -> DecodeResult:
     """Full maximum-likelihood decode: all class values, argmax class.
 
@@ -234,10 +250,7 @@ def decode(problem, m, config: ContractionConfig = ContractionConfig()) -> Decod
     the top value's absolute error, not to its own size (see
     builders.wht_class_values); the chosen class is unaffected.
     """
-    dn = problem.network(m)
-    nets = dn.networks()
-    contract = _contractor(nets[0], config)
-    values = dn.to_class_values([contract(net) for net in nets])
+    dn, values = _class_values(problem, m, config)
     chosen = _argmax_class(values)
     logs = [v.log_scale for v in values if v.mantissa != 0.0]
     diag = {
@@ -249,18 +262,8 @@ def decode(problem, m, config: ContractionConfig = ContractionConfig()) -> Decod
 
 def _decide(problem, m, config: ContractionConfig) -> int:
     """The class decode chooses, without building or contracting the
-    all-plus setting.
-
-    With WHT ports, setting t=0 adds the same f_0 / 2^k to every class
-    value, so it cannot move the argmax: it enters the transform as zero.
-    """
-    dn = problem.network(m)
-    nets = dn.networks(1 if dn.n_ports else 0)
-    contract = _contractor(nets[0], config)
-    vals = [contract(net) for net in nets]
-    if dn.n_ports:
-        vals = [ContractionValue(0.0)] + vals
-    return _argmax_class(dn.to_class_values(vals))
+    all-plus setting (_class_values)."""
+    return _argmax_class(_class_values(problem, m, config, all_plus=False)[1])
 
 
 def sample_errors(problem, shots: int, seed: int, start: int = 0):

@@ -312,7 +312,7 @@ def test_sweep_3d_determinism(cold_plans):
     b = sweep_contract_3d(net, 8, 4, 16)
     assert a.mantissa == b.mantissa and a.log_abs == b.log_abs
     # warm: the first stores the plane-end arrays b's sweep marked, the
-    # second replays every plane from them
+    # second reruns no site, taking every plane's end from them
     for c in (sweep_contract_3d(net, 8, 4, 16) for _ in range(2)):
         assert c.mantissa == a.mantissa and c.log_abs == a.log_abs
 
@@ -905,18 +905,16 @@ def test_plan_arrays_are_read_only(cold_plans):
     splits = [v for v in entries if type(v) is tuple]
     gates = [v for v in entries if isinstance(v, BondGate)]
     ends = [v.array for v in entries if isinstance(v, approx._End) and v.array is not None]
-    replays = [v for v in entries if isinstance(v, approx._Replay)]
+    bond_ends = [a for a in ends if a.ndim == 1]  # a bond's weights; a site's array has 5 axes
     arrays = [a for gate in gates for a in gate] + ends
     for residual, factors in splits:
         arrays += [residual, *factors]
-    for replay in replays:
-        arrays += [a for _key, _name, a in replay.sites + replay.bonds]
-    assert splits and gates and ends and replays and any(r.bonds for r in replays)
+    assert splits and gates and ends and bond_ends
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         gates[0].u[0, 0] = 1.0
     with pytest.raises(ValueError):
-        next(r for r in replays if r.bonds).bonds[0][2][0] = 2.0
+        bond_ends[0][0] = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -926,9 +924,9 @@ def test_plan_arrays_are_read_only(cold_plans):
 @pytest.fixture()
 def sweeps(monkeypatch):
     """For each sweep that reached the memo, a dict from the index of each
-    plane it ran, rather than replayed, to (full, reran): whether each gate
-    ran as a full simple update, and the positions whose operations the
-    plane reran."""
+    plane it reached to (full, reran): whether each gate ran as a full
+    simple update, and the positions whose operations the plane reran
+    (none where the memo held every site and bond at its end)."""
     out, current = [], {}
     memo_sweep, plan, keep = approx._memo_sweep, approx._Sweep.plan, approx._keep
 
@@ -995,6 +993,11 @@ def _bits_of(v):
     return v.mantissa.hex(), v.log_scale.hex()
 
 
+def _reran(run):
+    """The indices of the planes in which a sweep (see sweeps) reran a site."""
+    return sorted(i for i, (_full, reran) in run.items() if reran)
+
+
 # a site or an in-plane edge tensor of each site layer, and a bond-plane
 # matrix of each bond layer, by first coordinate and whether it is a matrix
 _CHANGES = [(a, m) for a in range(0, 7, 2) for m in (False, True)] + [
@@ -1048,9 +1051,9 @@ def test_memo_resumes_below_the_first_changed_plane(cold_plans, sweeps):
     # plane a is the tensors at first coordinate a: a site layer at even a,
     # bond-plane matrices at odd a
     net = _layered_net(1)
-    for _ in range(3):  # the second sweep stores every plane's end, the third replays it
+    for _ in range(3):  # the second sweep stores every plane's end, the third reruns no site
         sweep_contract_3d(net, 6, 2, 8)
-    assert [sorted(run) for run in sweeps] == [list(range(7))] * 2 + [[]]
+    assert [_reran(run) for run in sweeps] == [list(range(7))] * 2 + [[]]
     planes = _layout_planes()
     assert [len(p.sites) for p in planes] == [4] * 7
     assert [sum(g.edge is not None for g in p.gates) for p in planes] == [2, 0] * 3 + [2]
@@ -1058,11 +1061,12 @@ def test_memo_resumes_below_the_first_changed_plane(cold_plans, sweeps):
     for a, matrix in _CHANGES:
         changed = _changed(net, a, matrix)
         got = _bits_of(sweep_contract_3d(changed, 6, 2, 8))
-        assert sorted(sweeps[-1]) == list(range(a, 7)), (a, matrix)
+        assert _reran(sweeps[-1]) == list(range(a, 7)), (a, matrix)
         _clear_memo()
         assert _bits_of(sweep_contract_3d(changed, 6, 2, 8)) == got
         for _ in range(2):
             sweep_contract_3d(net, 6, 2, 8)
+    assert all(sorted(run) == list(range(7)) for run in sweeps)  # one path: every plane runs
 
 
 def test_memo_reruns_only_the_light_cone_of_a_changed_tensor(cold_plans, sweeps):
@@ -1082,9 +1086,9 @@ def test_memo_reruns_only_the_light_cone_of_a_changed_tensor(cold_plans, sweeps)
         changed = _changed(net, a, matrix)
         got = _bits_of(sweep_contract_3d(changed, 6, 2, 8))
         run = sweeps[-1]
-        assert sorted(run) == list(range(a, 7))
-        cone, bonds = set(), set()
-        for i in range(a, 7):
+        assert sorted(run) == list(range(7))
+        cone, bonds = set(), set()  # empty below plane a
+        for i in range(7):
             for pos, site in planes[i].sites.items():
                 if site.tid == tid:
                     cone.add(pos)
@@ -1098,7 +1102,7 @@ def test_memo_reruns_only_the_light_cone_of_a_changed_tensor(cold_plans, sweeps)
                     cone |= ends
                     bonds.add(frozenset(ends))
             assert run[i][1] == cone & set(planes[i].sites), (a, matrix, i)
-            local += len(run[i][1]) < len(planes[i].sites)
+            local += 0 < len(run[i][1]) < len(planes[i].sites)
         _clear_memo()
         assert _bits_of(sweep_contract_3d(changed, 6, 2, 8)) == got
         for _ in range(2):
@@ -1124,9 +1128,8 @@ def test_sweep_layout_rejects_bad_networks_on_every_call(cold_plans, coord, mess
 
 
 def _reused(run, planes):
-    """Whether a sweep took any plane or site from the memo."""
-    return len(run) < len(planes) or any(
-        len(reran) < len(planes[i].sites) for i, (_full, reran) in run.items())
+    """Whether a sweep took any site from the memo."""
+    return any(len(reran) < len(planes[i].sites) for i, (_full, reran) in run.items())
 
 
 def test_memo_reuses_nothing_at_another_chi_peps_and_all_at_another_log_scale(cold_plans, sweeps):
@@ -1137,7 +1140,7 @@ def test_memo_reuses_nothing_at_another_chi_peps_and_all_at_another_log_scale(co
     values = [sweep_contract_3d(n, chi_peps, 2, 8) for n, chi_peps in runs]
     planes = _layout_planes()
     assert [_reused(run, planes) for run in sweeps] == [False, False, True] * 2 + [True] * 2
-    assert not sweeps[-1]  # every plane replayed
+    assert not _reran(sweeps[-1])  # no plane reran a site
     assert abs(values[-1].ratio_to(values[0]) - 2.0) < 1e-12
     _clear_memo()
     assert _bits_of(sweep_contract_3d(scaled, 6, 2, 8)) == _bits_of(values[-1])
@@ -1161,41 +1164,77 @@ def test_sweep_that_raises_stores_no_state_from_its_plane_on(cold_plans, sweeps,
     _clear_memo()
     # the names of the sites and bonds at the ends of the planes below k
     n_ends = sum(len(p.sites) + len({(g.p1, g.p2) for g in p.gates}) for p in planes[:k])
-    for stored in (False, True, True):  # marks every plane below k, stores them, replays them
+    # marks every plane below k, stores them, takes them from the memo
+    for stored in (False, True, True):
         with pytest.raises(FloatingPointError):
             sweep_contract_3d(net, 6, 2, 8)
         ends = [v for v in approx._MEMO.values() if isinstance(v, approx._End)]
-        replays = [v for v in approx._MEMO.values() if isinstance(v, approx._Replay)]
-        assert len(ends) == n_ends and len(replays) == k * stored
+        assert len(ends) == n_ends
         assert all((e.array is not None) == stored for e in ends)
-    assert sorted(sweeps[-1]) == [k]  # the last sweep replayed the planes below k
+    # the last sweep reached plane k, rerunning no site below it, and raised
+    # there before it stored any site
+    assert sorted(sweeps[-1]) == list(range(k + 1)) and not _reran(sweeps[-1])
 
 
 def test_memo_names_gates_after_a_full_update_on_the_same_bond(cold_plans, sweeps,
                                                                monkeypatch):
     # two sites joined by three direct bonds in each of two planes: at
     # chi_peps 3 the second gate on the bond is a full update, and until the
-    # plane has run the length of its weights, and so the kind and the
-    # names of the third gate, are unknown
+    # plane has run the length of its weights, and so the kind of the third
+    # gate, is unknown; the plan names that gate as a full update, so it
+    # names every site and bond before the plane runs
     rng = np.random.default_rng(11)
     net = TensorNetwork()
     for a, y in np.ndindex(2, 2):
         legs = [f"p{a},{k}" for k in range(3)] + [f"v{y}"]
         net.add(Tensor.dense(rng.uniform(0.5, 1.5, [2] * 4), legs), coord=(2 * a, 0, y))
-    kinds = []
-    plan = approx._Sweep.plan
+    kinds, updates = [], []
+    plan, simple_update = approx._Sweep.plan, SweepState.simple_update
 
     def planned(self, *args):
         out = plan(self, *args)
         kinds.append(out[2])
         return out
 
+    def counted(self, *args):
+        updates.append(len(kinds) - 1)  # the plan call of the plane that runs it
+        return simple_update(self, *args)
+
     monkeypatch.setattr(approx._Sweep, "plan", planned)
+    monkeypatch.setattr(SweepState, "simple_update", counted)
     values = [_bits_of(sweep_contract_3d(net, 3, 2, 8)) for _ in range(3)]
-    assert kinds[:2] == [[False, True, None], [False, True, True]]
-    assert [sorted(run) for run in sweeps] == [[0, 1]] * 2 + [[]]
+    assert kinds == [[False, True, None], [True, None, None]] * 3
+    assert updates.count(0) == 2  # plane 0's third gate, too, runs as a full update
+    assert [sorted(run) for run in sweeps] == [[0, 1]] * 3
+    assert [_reran(run) for run in sweeps] == [[0, 1]] * 2 + [[]]
     _clear_memo()
     assert values == [_bits_of(sweep_contract_3d(net, 3, 2, 8))] * 3
+
+
+def test_fully_memoized_sweep_calls_no_kernel(cold_plans, sweeps, split_calls, gate_calls,
+                                              bond_gate_calls, monkeypatch):
+    # the first sweep marks every plane's end and the second stores it; at
+    # chi_peps 6 planes 4 and 6 run full simple updates, and so _tsqr_r
+    tsqr_calls = []
+    tsqr_r = approx._tsqr_r
+
+    def counted(*args, **kwargs):
+        tsqr_calls.append(args[0].shape)
+        return tsqr_r(*args, **kwargs)
+
+    monkeypatch.setattr(approx, "_tsqr_r", counted)
+    calls = (split_calls, gate_calls, bond_gate_calls, tsqr_calls)
+    net = _layered_net(5, side=3)
+    for _ in range(2):
+        sweep_contract_3d(net, 6, 2, 8)
+    assert all(calls)
+    for c in calls:
+        c.clear()
+    got = _bits_of(sweep_contract_3d(net, 6, 2, 8))
+    assert not any(calls)
+    assert sorted(sweeps[-1]) == list(range(7)) and not _reran(sweeps[-1])
+    _clear_memo()
+    assert _bits_of(sweep_contract_3d(net, 6, 2, 8)) == got
 
 
 def test_memo_holds_only_what_the_last_sweeps_used(cold_plans, memo_keys):
