@@ -36,8 +36,9 @@ chains the names of what that computation read.  A fast-path gate reads
 only its own end, so a site's name changes only with its own residuals,
 its gates and, through full simple updates, its neighbours, and a plane
 reruns only the sites whose names it has not stored: none where it has
-stored every site and bond.  The Monte Carlo shots of one problem share most of these and differ in the parity weights of the
-eq/par sites, which are read per shot.  Equal inputs go through equal
+stored every site and bond.  The Monte Carlo shots of one problem share
+most of these and differ in the parity weights of the eq/par sites,
+which are read per shot.  Equal inputs go through equal
 operations (the simple update is deterministic), and the log factors of
 each operation are stored with its arrays and added in program order, so
 a memoized value has the bits a fresh one would.  An entry stays while
@@ -416,18 +417,6 @@ def _grid_tensors_2d(net: TensorNetwork):
     return xs, ys, grid
 
 
-def _simplified(net: TensorNetwork):
-    """A simplified copy of net, and its value if simplify absorbed every
-    bond (else None).  What is left then are scalars without coordinates:
-    simplify keeps a negative or zero factor as one such tensor."""
-    work = net.copy()
-    simplify(work)
-    if any(t.ndim for t in work.tensors.values()):
-        return work, None
-    value = math.prod(float(t.densify()) for t in work.tensors.values())
-    return work, ContractionValue.from_float(value, work.log_scale)
-
-
 def _column(grid, x, ys, mps: MpsState, swap: bool) -> list:
     """Column x of the grid as an MPO facing mps; swap exchanges each
     tensor's left and right legs, for an MPS coming from the right."""
@@ -453,16 +442,19 @@ def mps_contract_2d(net: TensorNetwork, chi: int) -> ContractionValue:
     left and the other the last n - n // 2 - 1 from the right (left and
     right legs swapped), drawing sketches from one generator in that
     order; MpsState.meet then contracts the middle column between them
-    exactly."""
-    work, value = _simplified(net)
-    if value is not None:
-        return value
+    exactly.
+
+    net must be simplified (builders.simplify); it is left unchanged.  A
+    network with no bond left, which simplify may leave as one scalar
+    without coordinates, is contracted exactly."""
+    if not any(t.ndim for t in net.tensors.values()):
+        return net.contract_exact()
     rng = np.random.default_rng(SKETCH_SEED)
-    xs, ys, grid = _grid_tensors_2d(work)
+    xs, ys, grid = _grid_tensors_2d(net)
     mid = len(xs) // 2
     left = MpsState.product([1] * len(ys), chi)
     right = MpsState.product([1] * len(ys), chi)
-    left.log_scale = work.log_scale
+    left.log_scale = net.log_scale
     for mps, cols, swap in ((left, xs[:mid], False), (right, xs[:mid:-1], True)):
         for x in cols:
             mps.apply_mpo_zip(_column(grid, x, ys, mps, swap), rng)
@@ -551,6 +543,9 @@ class BondGate(NamedTuple):
 
     @classmethod
     def of(cls, mat: np.ndarray) -> "BondGate":
+        """The gate of mat, made on a copy of mat that it owns: mat may be
+        an edge tensor of the caller's network, which it freezes."""
+        mat = np.array(mat)
         u, s, vt = np.linalg.svd(mat, full_matrices=False)
         if s[0] != 0.0:
             keep = s > CUTOFF * s[0]
@@ -610,7 +605,9 @@ class _Layout:
 def _split_site(arr: np.ndarray, chi_split: int):
     """Peel each in-plane axis (axis 2 on) of a dense site's residual array
     off by an SVD capped at chi_split: the residual (down, up, g...) and,
-    per in-plane axis, the factor u s whose columns its g axis indexes."""
+    per in-plane axis, the factor u s whose columns its g axis indexes.
+    A residual with no in-plane axis is copied, since arr may be a view of
+    the caller's network, which the memo must not hold."""
     factors = []
     for ax in range(2, arr.ndim):
         moved = np.moveaxis(arr, ax, 0)
@@ -618,7 +615,7 @@ def _split_site(arr: np.ndarray, chi_split: int):
         u_, s_, vt_ = _svd_trunc(moved.reshape(mshape[0], -1), chi_split)
         factors.append(_frozen(u_ * s_))
         arr = np.moveaxis(vt_.reshape((len(s_),) + mshape[1:]), 0, ax)
-    return _frozen(arr), tuple(factors)
+    return _frozen(arr if factors else np.array(arr)), tuple(factors)
 
 
 def _gate_name(g: _Gate, edge: np.ndarray | None, names: dict) -> bytes:
@@ -726,10 +723,11 @@ def _plane_layout(net, tids, partners, a):
 
 
 def _sweep_layout(work: TensorNetwork) -> _Layout:
-    """The planes of a simplified 3D network in sweep order, with grid
-    positions rank-compressed, and the sorted carrier positions.  Depends
-    only on the network's shape, never on its values; it checks that the
-    vertical legs of each position chain from plane to plane."""
+    """The planes of a 3D network in sweep order, with grid positions
+    rank-compressed, and the sorted carrier positions.  work must be
+    simplified (builders.simplify); it is left unchanged.  Depends only on
+    the network's shape, never on its values; it checks that the vertical
+    legs of each position chain from plane to plane."""
     for tid in work.tensors:
         if tid not in work.coords or len(work.coords[tid]) != 3:
             raise ValueError("3D sweep needs 3D coordinates on every tensor")
@@ -1259,21 +1257,28 @@ def sweep_contract_3d(net: TensorNetwork, chi_peps: int, chi_split: int,
     it holds them all.  An array is stored the second time its name is
     seen, so only recurring computations cost memory.  The network's
     log_scale is no input of any array: the log factors of each operation
-    are stored with its arrays and added to it in program order.  Memoized or made afresh, equal inputs go through
-    equal operations, so the value has the same bits.
+    are stored with its arrays and added to it in program order.
+    Memoized or made afresh, equal inputs go through equal operations, so
+    the value has the same bits.
+
+    net must be simplified (builders.simplify); it is left unchanged, and
+    no memo entry holds one of its arrays.  A network with no bond left is
+    contracted exactly.  The sweep simplifies its own readout before the
+    boundary MPS contracts it.
     """
-    work, value = _simplified(net)
-    if value is not None:
-        return value
+    if not any(t.ndim for t in net.tensors.values()):
+        return net.contract_exact()
     _memo_sweep()
-    layout = _memo(_shape_key(work), _sweep_layout, work)
+    layout = _memo(_shape_key(net), _sweep_layout, net)
     sweep = _Sweep(layout, chi_peps, chi_split)
-    log, cut = work.log_scale, 0.0
+    log, cut = net.log_scale, 0.0
     for i, plane in enumerate(layout.planes):
-        terms, cuts = sweep.run_plane(i, plane, *_read_plane(work, plane))
+        terms, cuts = sweep.run_plane(i, plane, *_read_plane(net, plane))
         for term in terms:
             log += term
         for term in cuts:
             cut += term
     sweep.state.log_scale, sweep.state.truncation_cut = log, cut
-    return mps_contract_2d(sweep.state.to_network(), chi_mps)
+    readout = sweep.state.to_network()
+    simplify(readout)
+    return mps_contract_2d(readout, chi_mps)

@@ -61,8 +61,6 @@ def simplify(net: TensorNetwork) -> None:
                 del net.tensors[tid]
                 net.coords.pop(tid, None)
                 changed = True
-        if changed:
-            continue
     if pref != 1.0:
         if not net.tensors:
             net.add(Tensor.dense(np.array(pref), []))
@@ -109,8 +107,13 @@ class DecodingNetwork:
     class_xor: int = 0  # XOR offset applied to class indices (DEM baselines)
 
     def networks(self, first: int = 0) -> list[TensorNetwork]:
-        """The networks of the variants from index first on, in order."""
-        return [make() for make in self._variants[first:]]
+        """The networks of the variants from index first on, in order, each
+        made fresh and simplified in place: the one simplify a network
+        gets, which the contraction engines take as given."""
+        nets = [make() for make in self._variants[first:]]
+        for net in nets:
+            simplify(net)
+        return nets
 
     def class_values(self, contract=None) -> list[ContractionValue]:
         if contract is None:
@@ -137,7 +140,6 @@ def _batch_variant(base: TensorNetwork, port_flips: list[list[int]], t_bits) -> 
     for j, bit in enumerate(t_bits):
         if bit:
             _apply_sign_flips(net, port_flips[j])
-    simplify(net)
     return net
 
 
@@ -390,9 +392,7 @@ def build_css_sector_network(
             ]
             return DecodingNetwork("detector", 1, variants)
         classes = [0, 1] if ports == "classes" else [int(ports)]
-        variants = [
-            (lambda c: (lambda: _simplified(det_net(c)[0])))(c) for c in classes
-        ]
+        variants = [(lambda c: (lambda: det_net(c)[0]))(c) for c in classes]
         return DecodingNetwork("detector", 0, variants)
 
     if picture != "generator":
@@ -425,26 +425,16 @@ def build_css_sector_network(
         return net
 
     if ports == "batch":
-        variants = [
-            (lambda s: (lambda: _simplified(gen_net(r, s))))(sign)
-            for sign in (1.0, -1.0)
-        ]
+        variants = [(lambda s: (lambda: gen_net(r, s)))(s) for s in (1.0, -1.0)]
         return DecodingNetwork("generator", 1, variants, class_xor=c0)
     if ports == "classes":
         variants = [
-            (lambda rep: (lambda: _simplified(gen_net(rep, None))))((r + c * err_log) % 2)
+            (lambda rep: (lambda: gen_net(rep, None)))((r + c * err_log) % 2)
             for c in (0, 1)
         ]
         return DecodingNetwork("generator", 0, variants, class_xor=c0)
     rep = (r + (int(ports) ^ c0) * err_log) % 2
-    return DecodingNetwork(
-        "generator", 0, [lambda: _simplified(gen_net(rep, None))]
-    )
-
-
-def _simplified(net: TensorNetwork) -> TensorNetwork:
-    simplify(net)
-    return net
+    return DecodingNetwork("generator", 0, [lambda: gen_net(rep, None)])
 
 
 def _add_logical_equality(net, support, qc, sign):
@@ -548,7 +538,7 @@ def build_dem_network(
         ]
         return DecodingNetwork("detector", nl, variants, class_xor=class_xor)
     classes = list(range(2 ** nl)) if ports == "classes" else [int(ports)]
-    variants = [(lambda c: (lambda: _simplified(build(c)[0])))(c) for c in classes]
+    variants = [(lambda c: (lambda: build(c)[0]))(c) for c in classes]
     return DecodingNetwork("detector", 0, variants, class_xor=class_xor)
 
 
@@ -622,7 +612,6 @@ def build_detector_cubic_network(
                     idx = tuple(x if c == "x" else z for c in comps)
                     arr[idx] = noise[q].prob_of(x, z) * sign
             net.add(Tensor.dense(arr, legs), coord=code.qubit_coords[q])
-        simplify(net)
         return net
 
     variants = [(lambda t: (lambda: build(t)))(t) for t in _settings(2)]

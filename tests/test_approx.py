@@ -10,7 +10,7 @@ from tndecode import approx
 from tndecode.approx import (
     BondGate, MpsState, SweepState, mps_contract_2d, sweep_contract_3d,
 )
-from tndecode.builders import build_css_sector_network, build_detector_cubic_network
+from tndecode.builders import build_css_sector_network, build_detector_cubic_network, simplify
 from tndecode.codes import surface_code_2d, surface_code_3d
 from tndecode.noise import depolarizing
 from tndecode.tensornet import Tensor, TensorNetwork
@@ -153,12 +153,15 @@ def test_boundary_mps_rejects_bad_networks():
 ])
 def test_engines_value_a_network_simplify_absorbs(engine, a, b, want):
     # simplify absorbs both vectors; a value <= 0 is left as one scalar
-    # tensor without coordinates, which neither engine can lay out
+    # tensor without coordinates, which neither engine can lay out, so
+    # both contract it exactly
     dim = 2 if engine == "mps" else 3
     net = TensorNetwork()
     net.add(Tensor.dense(np.array(a), ["x"]), coord=(0,) * dim)
     net.add(Tensor.dense(np.array(b), ["x"]), coord=(1,) + (0,) * (dim - 1))
     net.log_scale = 0.5
+    simplify(net)
+    assert [(t.ndim, tid in net.coords) for tid, t in net.tensors.items()] == [(0, False)]
     if engine == "mps":
         got = mps_contract_2d(net, chi=4)
     else:
@@ -917,6 +920,67 @@ def test_plan_arrays_are_read_only(cold_plans):
         bond_ends[0][0] = 2.0
 
 
+def _eq_edge_par_net():
+    """Two planes: an equality and a parity site joined through a dense 2x2
+    edge tensor, below two dense sites joined directly.  The edge joins two
+    structured sites, so its gate's matrix is the edge tensor as it is."""
+    net = TensorNetwork()
+    net.add(Tensor.equality(["e0", "v0"], w0=0.7, w1=0.3), coord=(0, 0, 0))
+    net.add(Tensor.dense([[0.9, 0.2], [0.4, 1.1]], ["e0", "e1"]), coord=(0, 0, 1))
+    net.add(Tensor.parity(["e1", "v1"], w_even=0.6, w_odd=0.4), coord=(0, 0, 2))
+    net.add(Tensor.dense([[1.0, 0.5], [0.3, 0.8]], ["v0", "h"]), coord=(1, 0, 0))
+    net.add(Tensor.dense([[0.7, 1.2], [0.2, 0.9]], ["v1", "h"]), coord=(1, 0, 2))
+    return net
+
+
+def _snapshot(net):
+    """What an engine must leave as it is: each tensor's id, legs, kind,
+    weights, and the bits and writeable flag of its array; the coordinates
+    and log_scale."""
+    return ({tid: (tuple(t.legs), t.kind, t.w0, t.w1) + (
+                () if t.values is None else (t.values.tobytes(), t.values.flags.writeable))
+             for tid, t in net.tensors.items()},
+            dict(net.coords), net.log_scale)
+
+
+def _memo_arrays():
+    out = []
+    for v in approx._MEMO.values():
+        if isinstance(v, BondGate):
+            out += list(v)
+        elif isinstance(v, approx._End) and v.array is not None:
+            out.append(v.array)
+        elif type(v) is tuple:
+            out += [v[0], *v[1]]
+    return out
+
+
+def test_engines_leave_the_callers_network_unchanged(cold_plans):
+    code = surface_code_3d(2)
+    m = np.zeros(code.h_x.shape[0] + code.h_z.shape[0], np.uint8)
+    m[0] = 1
+    cubic = build_detector_cubic_network(code, [depolarizing(0.07)] * code.n, m).networks()[1]
+    nets3 = [_eq_edge_par_net(), _layered_net(1), cubic]
+    grid = random_grid_net(np.random.default_rng(4), 3, 3)
+    code2 = surface_code_2d(3)
+    css = build_css_sector_network(code2, "x", "detector", 0.1,
+                                   np.eye(code2.h_z.shape[0], dtype=np.uint8)[1]).networks()[1]
+    nets2 = [grid, css]
+    before = [_snapshot(net) for net in nets3 + nets2]
+    for net in nets3:
+        for _ in range(2):  # the second sweep stores the plane-end arrays
+            sweep_contract_3d(net, 6, 2, 8)
+    for net in nets2:
+        mps_contract_2d(net, 4)
+    assert [_snapshot(net) for net in nets3 + nets2] == before
+    held = _memo_arrays()
+    assert held
+    assert not any(np.shares_memory(a, t.values) for net in nets3
+                   for t in net.tensors.values() if t.values is not None for a in held)
+    got = sweep_contract_3d(nets3[0], BIG, BIG, BIG)
+    assert got.value == pytest.approx(nets3[0].contract_exact().value, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # sweep memo: carrier sites and bonds at the end of each plane
 
@@ -1135,7 +1199,7 @@ def _reused(run, planes):
 def test_memo_reuses_nothing_at_another_chi_peps_and_all_at_another_log_scale(cold_plans, sweeps):
     net = _layered_net(2)
     scaled = net.copy()
-    scaled.add(Tensor.dense(np.array(2.0), []))  # simplify moves it into log_scale
+    scaled.log_scale += math.log(2.0)
     runs = [(net, 6)] * 3 + [(net, 5)] * 3 + [(scaled, 6)] * 2
     values = [sweep_contract_3d(n, chi_peps, 2, 8) for n, chi_peps in runs]
     planes = _layout_planes()

@@ -293,3 +293,56 @@ def test_wht_class_values_zero_input():
     vals = [ContractionValue(0.0)] * 4
     out = wht_class_values(vals)
     assert all(v.mantissa == 0.0 for v in out)
+
+
+def _decoding_networks():
+    """One decoding network of every builder family, by name."""
+    _, tab = five_qubit_code()
+    noise = [depolarizing(0.1)] * 5
+    m4 = np.array([1, 0, 1, 0], np.uint8)
+    code2 = surface_code_2d(3)
+    mz = np.eye(code2.h_z.shape[0], dtype=np.uint8)[2]
+    code3 = surface_code_3d(2)
+    m3 = np.zeros(code3.h_x.shape[0] + code3.h_z.shape[0], np.uint8)
+    m3[1] = 1
+    model = parse_dem("error(0.1) D0 L0\nerror(0.2) D0 D1\nerror(0.15) D1 D2\n"
+                      "error(0.05) D2\nlogical_observable L0\n")
+    from tndecode.dem import compress_dem
+
+    out = {}
+    for picture in ("detector", "generator"):
+        for ports in ("batch", "classes", 1):
+            out[f"css-{picture}-{ports}"] = build_css_sector_network(
+                code2, "x", picture, 0.1, mz, ports=ports)
+    out["stabilizer-detector"] = build_detector_network(tab, noise, m4)
+    out["stabilizer-generator"] = build_generator_network(tab, noise, m4)
+    out["cubic"] = build_detector_cubic_network(code3, [depolarizing(0.07)] * code3.n, m3)
+    out["dem"] = build_dem_network(model, [1, 0, 1])
+    # a 2x2x2 box leaves filler sites that read out as scalars
+    lattice = compress_dem(model, None, dims=(2, 2, 2))
+    out["compressed-dem"] = lattice.decoding_network([1, 0, 1])
+    return out
+
+
+def _contents(net):
+    return ({tid: (tuple(t.legs), t.kind, t.w0, t.w1,
+                   None if t.values is None else (t.values.shape, t.values.tobytes()))
+             for tid, t in net.tensors.items()}, dict(net.coords), net.log_scale)
+
+
+@pytest.mark.parametrize("family", sorted(_decoding_networks()))
+def test_networks_are_simplified_and_fresh(family):
+    dn = _decoding_networks()[family]
+    first, second = dn.networks(), dn.networks()
+    assert first and len(first) == len(second)
+    for a, b in zip(first, second):
+        legs = a.leg_map()
+        assert all(t.ndim for t in a.tensors.values())
+        assert not any(t.ndim == 1 and len(legs[t.legs[0]]) == 2 for t in a.tensors.values())
+        assert a is not b and _contents(a) == _contents(b)
+        for tid, t in a.tensors.items():
+            u = b.tensors[tid]
+            assert t is not u
+            # the compressed lattice's cached readouts are shared, read-only
+            assert t.values is None or not t.values.flags.writeable or \
+                not np.shares_memory(t.values, u.values)
