@@ -3,7 +3,7 @@
 Subcommands: decode one syndrome, Monte Carlo sampling to CSV, threshold
 estimation to JSON, offline DEM compression, and brute-force oracles for
 small instances.  Exit codes: 0 success, 2 input error, 3 numerical
-failure.
+failure or out of memory.
 """
 from __future__ import annotations
 
@@ -11,7 +11,9 @@ import csv
 import json
 import math
 import os
+import resource
 import sys
+import time
 
 import click
 import numpy as np
@@ -45,7 +47,8 @@ class InputError(click.ClickException):
 
 
 def _fail_numerical(exc) -> "NoReturn":
-    click.echo(f"numerical failure: {exc}", err=True)
+    what = "out of memory" if isinstance(exc, MemoryError) else "numerical failure"
+    click.echo(f"{what}: {str(exc) or type(exc).__name__}", err=True)
     sys.exit(3)
 
 
@@ -55,6 +58,7 @@ _NUMERICAL = (
     ContractionCapError,
     np.linalg.LinAlgError,
     OverflowError,
+    MemoryError,
 )
 # what the decoding engines raise once the inputs are validated: a
 # ValueError from inside a contraction is the engine's failure, not an
@@ -303,17 +307,29 @@ def threshold_cmd(code, dem, picture, sector, chi_peps, chi_split,
 @click.option("--chi-compress", type=_CHI, default=None)
 @click.option("--out", type=click.Path(), required=True, help="cache file (.npz)")
 def compress_cmd(dem, chi_compress, out):
-    """Compress a detector error model onto a cubic lattice (offline)."""
+    """Compress a detector error model onto a cubic lattice (offline) and
+    report what the compression approximated and what it cost."""
     model = _load_dem(dem)
+    start = time.process_time()
+
+    def cost():
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        return f"{time.process_time() - start:.1f} CPU s, peak RSS {peak_mb:.0f} MB"
+
     try:
         state = compress_dem(model, chi_compress)
+        spent = cost()
         state.save(out)
+    except MemoryError as exc:
+        _fail_numerical(MemoryError(f"{exc}, {cost()}"))
     except _NUMERICAL as exc:
         _fail_numerical(exc)
     dims = "x".join(str(v) for v in state.dims)
     bd = state.bond_dims()
     click.echo(f"compressed {state.model.n_mechanisms} mechanisms onto {dims} "
                f"lattice, max bond {max(bd.values()) if bd else 1} -> {out}")
+    click.echo(f"truncation cut {state.truncation_cut:.3g} in {state.updates} "
+               f"simple updates, {spent}")
 
 
 @main.command("oracle")

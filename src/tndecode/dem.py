@@ -334,6 +334,7 @@ class CompressedCubicNetwork(LatticeState):
         self.chi = chi
         self._fresh = {}  # site -> (in-bond axis, out-bond axis, flip), see snake
         self._readouts = {}  # site -> (arrays read, {end bytes: readout}), see _readout
+        self.updates = 0  # simple updates run by truncate_bond
         open_sites = set(site_of.values())
         super().__init__({
             pos: (np.array([1.0, 0.0]).reshape((1,) * 6 + (2,))
@@ -350,8 +351,8 @@ class CompressedCubicNetwork(LatticeState):
 
     def snake(self, mech: Mechanism) -> None:
         """Absorb one error mechanism along an axis-priority Manhattan path
-        through its (lexicographically sorted) touched sites, then truncate
-        the path bonds in path order.
+        through its (lexicographically sorted) touched sites, truncating
+        each path bond as soon as both of its ends are written.
 
         The mechanism runs along the path as a wire bit b: every path bond
         is doubled to (old bond, b), the first site weighs b by (1 - p, p),
@@ -361,7 +362,17 @@ class CompressedCubicNetwork(LatticeState):
         once, by _wire.  Every other site is the old site (x) the wire: it
         is left as it is and marked fresh, and the truncation of its
         in-bond reads it through _factor without forming the doubled
-        array, which is four times its size."""
+        array, which is four times its size.
+
+        Truncations interleave with the writes: bond (i-1, i) is truncated
+        right after site i is written or marked fresh.  So each path bond
+        is truncated once per mechanism, and a site the path revisits is
+        written again only after its earlier wire bonds are back under the
+        cap.  A backtrack's bond, doubled from both sides, is truncated one
+        step later, after the revisited site beyond it has doubled its side
+        too.  A path that walks out and back over two or more bonds
+        retraces the bonds short of its backtrack; those are truncated on
+        each traversal."""
         touched = self.touched_sites(mech)
         path = [touched[0]]
         for nxt in touched[1:]:
@@ -384,8 +395,8 @@ class CompressedCubicNetwork(LatticeState):
                 self.sites[pos] = self._wire(self.sites[pos], ax_in, ax_out, flip,
                                              w if i == 0 else (1.0, 1.0))
                 self.rescale(pos)
-        for i in range(len(path) - 1):
-            self.truncate_bond(path[i], path[i + 1])
+            if ax_in is not None and ax_in != ax_out:
+                self.truncate_bond(path[i - 1], pos)
 
     @staticmethod
     def _wire(S, ax_in, ax_out, flip, w):
@@ -464,6 +475,7 @@ class CompressedCubicNetwork(LatticeState):
         for pos in (p1, p2):
             self.sites[pos] = self.sites[pos][..., None]
         self.simple_update(p1, p2, np.eye(1), chi or n)
+        self.updates += 1
 
     def truncate_all(self, chi) -> None:
         """Global truncation pass bringing every bond dimension down to chi."""
@@ -602,6 +614,9 @@ def compress_dem(
             j,
         ),
     )
-    for j in order:
-        state.snake(model.mechanisms[j])
+    try:
+        for j in order:
+            state.snake(model.mechanisms[j])
+    except MemoryError as exc:  # say how far the compression got
+        raise MemoryError(f"{exc} after {state.updates} simple updates") from exc
     return state

@@ -2,6 +2,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -220,6 +221,14 @@ def test_compress_dem_and_decode_from_cache(runner, tmp_path):
     assert res.exit_code == 0, res.output
     assert os.path.exists(out)
     assert "mechanisms" in res.output
+    # what the compression approximated and cost, on a line of its own
+    report = re.fullmatch(
+        r"truncation cut (\S+) in (\d+) simple updates, (\S+) CPU s, peak RSS (\d+) MB",
+        res.output.splitlines()[-1])
+    assert report, res.output
+    cut, updates, cpu, rss = report.groups()
+    assert 0 <= float(cut) < 1 and int(updates) > 0
+    assert float(cpu) >= 0 and int(rss) > 0
     # decoding straight from the DEM with on-the-fly compression
     res = runner.invoke(main, [
         "decode", "--dem", dem, "--p", "0.005", "--chi-compress", "4",
@@ -256,6 +265,22 @@ def test_numerical_failure_exits_3(runner):
     ])
     assert res.exit_code == 3, res.output
     assert "numerical failure" in res.output
+
+
+def test_out_of_memory_exits_3_with_one_line(runner, tmp_path, monkeypatch):
+    from tndecode import cli
+
+    def no_memory(model, chi):
+        raise MemoryError("Unable to allocate 1.00 GiB for an array")
+
+    monkeypatch.setattr(cli, "compress_dem", no_memory)
+    out = tmp_path / "x.npz"
+    res = runner.invoke(main, ["compress-dem", "--dem", os.path.join(DATA, "rotated_d3.dem"),
+                               "--chi-compress", "16", "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert re.fullmatch(r"out of memory: Unable to allocate 1.00 GiB for an array, "
+                        r"\S+ CPU s, peak RSS \d+ MB\n", res.output), res.output
+    assert not out.exists()
 
 
 def test_engine_value_errors_exit_3(runner, tmp_path, monkeypatch):

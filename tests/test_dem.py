@@ -541,3 +541,58 @@ def test_snake_keeps_held_arrays_and_leaves_no_fresh_site():
     state.snake(merged.mechanisms[-1])
     assert all(a.tobytes() == raw for a, raw in held)
     assert not state._fresh
+
+
+def test_snake_truncates_each_path_bond_once_its_ends_are_written(monkeypatch):
+    # the mechanism on D0-D3 walks (0,0,1) (0,1,1) (0,1,0) (0,1,1) (1,1,1)
+    # (1,1,0): a backtrack at (0,1,0), which revisits (0,1,1)
+    text = ("error(0.2) D0 D1 D2 D3\nerror(0.1) D0 L0\nerror(0.15) D1\n"
+            "error(0.05) D2 D3 L0\nerror(0.12) D0 D1 L0\nerror(0.07) D3\n"
+            "detector(0, 0, 1) D0\ndetector(0, 1, 0) D1\n"
+            "detector(0, 1, 1) D2\ndetector(1, 1, 0) D3\n")
+    model = merge_mechanisms(parse_dem(text))
+    dims, site_of = layout_detectors(model, None, extra=1)
+    # a cap of 1 brings every truncated bond back to length 1, so a path
+    # bond longer than that is doubled and not yet truncated
+    state = CompressedCubicNetwork(model, dims, site_of, 1)
+    mech = model.mechanisms[0]
+    assert state.touched_sites(mech) == [(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 1, 0)]
+    path = [(0, 0, 1), (0, 1, 1), (0, 1, 0), (0, 1, 1), (1, 1, 1), (1, 1, 0)]
+    bonds = {state.bond(a, b) for a, b in zip(path, path[1:])}
+    truncated = []
+    truncate_bond = CompressedCubicNetwork.truncate_bond
+
+    def spy(self, p1, p2, chi=None):
+        bond = self.bond(p1, p2)
+        for end in bond:
+            doubled = [b for b in bonds - {bond}
+                       if end in b and len(self.get_lam(*b)) > 1]
+            assert len(doubled) <= 1, (bond, end, doubled)
+        truncated.append(bond)
+        truncate_bond(self, p1, p2, chi)
+
+    monkeypatch.setattr(CompressedCubicNetwork, "truncate_bond", spy)
+    state.snake(mech)
+    assert sorted(truncated) == sorted(bonds)
+    monkeypatch.undo()
+    state = compress_dem(model, chi_compress=None)
+    for bits in itertools.product((0, 1), repeat=4):
+        m = np.array(bits, np.uint8)
+        vals = [v.value for v in state.decoding_network(m).class_values()]
+        np.testing.assert_allclose(vals, brute_force_class_probs(model, m),
+                                   rtol=1e-8, atol=1e-12)
+
+
+def test_compress_dem_says_how_far_it_got_when_out_of_memory(monkeypatch):
+    model = random_dem(np.random.default_rng(63), 8, 16, with_coords=True)
+    half = compress_dem(model, 4).updates // 2
+    simple_update = CompressedCubicNetwork.simple_update
+
+    def update_until_full(self, *args):
+        if self.updates == half:
+            raise MemoryError("no room")
+        simple_update(self, *args)
+
+    monkeypatch.setattr(CompressedCubicNetwork, "simple_update", update_until_full)
+    with pytest.raises(MemoryError, match=f"^no room after {half} simple updates$"):
+        compress_dem(model, 4)
