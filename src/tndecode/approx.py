@@ -23,6 +23,12 @@ two-site gates, which it applies to that state with simple-update
 truncation (per-bond Vidal-gauge lambda vectors); the final 2D network is
 handed to the boundary MPS.  A plane of 2-leg vertical tensors is an
 ordinary plane whose residuals are matrices and which has no gates.
+A carrier site is never formed with all its in-plane legs pending when
+its first gate is a full simple update and its residual has more rows
+than vertical x consumed leg: until that update it is held as the pair
+of the site and the residual, and the update reads its R from three
+small QRs of the factors (SweepState.absorb, SweepState._factor).  Every
+other site absorbs its residual whole.
 
 A sweep memoizes (_memo) what it derives from the network.  The layout
 of the planes (the rank-compressed grid, each site's leg order and
@@ -832,15 +838,7 @@ class LatticeState:
         they are the state's."""
         A = self.sites[pos]
         rest = [i for i in range(A.ndim) if i not in (ax, self.GATE_AXIS)]
-        if lam_at is None:
-            lam_at = self._bond_weights(pos)
-        w = np.ones(1)
-        for i in rest:
-            lv = lam_at.get(i)
-            if lv is not None and len(lv) > 1:
-                w = np.multiply.outer(w, lv).ravel()
-            elif A.shape[i] > 1:
-                w = np.repeat(w, A.shape[i])
+        w = self._row_weights(pos, A.shape, rest, lam_at)
         dims = tuple(A.shape[i] for i in rest)
         mat = np.transpose(A, rest + [ax, self.GATE_AXIS])
         cols = A.shape[ax] * A.shape[self.GATE_AXIS]
@@ -855,6 +853,23 @@ class LatticeState:
     def _bond_weights(self, pos):
         """Bond axis of the site at pos -> weights of that bond."""
         return {nax: self.get_lam(pos, npos) for npos, nax in self.neighbors(pos)}
+
+    def _row_weights(self, pos, shape, rest, lam_at=None):
+        """The weights of the rows of an array of the given shape at pos,
+        read with the axes rest as its rows in C order: the outer product
+        of the weights of each nontrivial bond among them, by default the
+        state's (lam_at maps an axis to its bond weights); other axes
+        weigh 1."""
+        if lam_at is None:
+            lam_at = self._bond_weights(pos)
+        w = np.ones(1)
+        for i in rest:
+            lv = lam_at.get(i)
+            if lv is not None and len(lv) > 1:
+                w = np.multiply.outer(w, lv).ravel()
+            elif shape[i] > 1:
+                w = np.repeat(w, shape[i])
+        return w
 
     def _factor(self, pos, ax):
         """One endpoint of the simple update: the R factor of the site at
@@ -888,8 +903,11 @@ class LatticeState:
         is by kept singular values.  Each endpoint is read through _factor,
         which streams the stored array: no site's matrix is formed whole,
         so an update holds the two sites, their new arrays and a few blocks
-        of rows.  The stored site arrays are only read; the new sites are
-        fresh arrays."""
+        of rows.  R enters only as R^T R and through the core, whose SVD
+        moves with any orthogonal change of R's rows, so a _factor may
+        return the R of any matrix with the Gram of W A (SweepState's from
+        a pair's factors, the compressor's of a fresh site).  The stored
+        site arrays are only read; the new sites are fresh arrays."""
         ax1, ax2 = self.bond_axes(p1, p2)
         (R1, project1), (R2, project2) = self._factor(p1, ax1), self._factor(p2, ax2)
         lam = self.get_lam(p1, p2)
@@ -959,7 +977,9 @@ class SweepState(LatticeState):
 
     Site arrays have axes (left, right, down, up, vert, g...); left/right
     step the first grid coordinate, down/up the second, and the gate legs
-    still to be consumed follow the vertical leg.
+    still to be consumed follow the vertical leg.  Between absorbing a
+    residual and its first gate, a site may instead hold a _Pair of its
+    factors (absorb), which only that gate, a full update, reads.
     """
 
     AXIS = {(-1, 0): 0, (1, 0): 1, (0, -1): 2, (0, 1): 3}
@@ -967,6 +987,59 @@ class SweepState(LatticeState):
 
     def __init__(self, positions):
         super().__init__({pos: np.ones((1, 1, 1, 1, 1)) for pos in positions})
+
+    def absorb(self, pos, res, first=None):
+        """Contract a residual res (vert, up, g_1, ..., g_k) into the
+        vertical leg of the site at pos.  first is the place among g_1..g_k
+        of the leg that the site's first gate consumes when that gate is a
+        full simple update, else None.  Such a site whose residual
+        _keeps_pair holds the pair _Pair(S, Res) instead of the product: S
+        the site as it is, Res the residual with that leg moved last and
+        scaled into pow2_normalize's window, whose factor is the log factor
+        of the absorption.  The pair lives until that update, which reads
+        it through _factor; no other operation reads the site before it."""
+        S = self.sites[pos]
+        if first is not None and _keeps_pair(moved := np.moveaxis(res, 2 + first, -1)):
+            moved, log_factor = pow2_normalize(moved)
+            self.sites[pos] = _Pair(S, moved)
+            self.add_log(log_factor)
+            return
+        self.sites[pos] = np.tensordot(S, res, axes=([4], [0]))
+        self.rescale(pos)
+
+    def _factor(self, pos, ax):
+        """The simple-update endpoint of a site that holds a pair (see
+        absorb), from its factors; any other site takes the default.
+
+        The site matrix is M[(o, r), (b, g)] = sum_v S[o, b, v] Res[v, r, g],
+        o the other bonds, b the bond at ax, v the vertical leg, r the
+        residual's other legs and g the consumed leg.  With W_o the weights
+        of the other bonds, take W_o S[o, (b, v)] = Q_S R_S and
+        Res[r, (v, g)] = Q_r R_r; then W_o M = (Q_S (x) Q_r) T with
+        T[(i, j), (b, g)] = sum_v R_S[i, (b, v)] R_r[j, (v, g)], and Q_S (x)
+        Q_r has orthonormal columns, so the R of T has R^T R = M^T W_o^2 M,
+        which is all the simple update reads of an R.  project forms the
+        new site as S[o, (b, v)] times Res contracted with the projector
+        over g, in the default's layout.  Neither forms M."""
+        pair = self.sites[pos]
+        if not isinstance(pair, _Pair):
+            return super()._factor(pos, ax)
+        S, res = pair
+        rest = [i for i in range(4) if i != ax]
+        b, v, g = S.shape[ax], S.shape[4], res.shape[-1]
+        S_mat = np.transpose(S, rest + [ax, 4]).reshape(-1, b * v)
+        R_S = _tsqr_r(S_mat, self._row_weights(pos, S.shape, rest)).reshape(-1, b, v)
+        R_r = _tsqr_r(np.moveaxis(res, 0, -2).reshape(-1, v * g)).reshape(-1, v, g)
+        T = np.tensordot(R_S, R_r, axes=([2], [1])).transpose(0, 2, 1, 3)
+        dims = tuple(S.shape[i] for i in rest) + res.shape[1:-1]
+
+        def project(proj):
+            k = len(proj)
+            X = np.tensordot(proj.reshape(k, b, g), res, axes=([2], [-1]))  # (k, b, v, r)
+            X = np.moveaxis(X, 0, -1).reshape(b * v, -1)
+            return np.moveaxis((S_mat @ X).reshape(dims + (k,)), -1, ax)
+
+        return _tsqr_r(T.reshape(-1, b * g)), project
 
     @staticmethod
     def full_update(bond_len: int, gate: BondGate, chi: int) -> bool:
@@ -1004,6 +1077,24 @@ class SweepState(LatticeState):
         self.add_log(math.log(f))
         self.rescale(p1)
         self.rescale(p2)
+
+
+class _Pair(NamedTuple):
+    """A carrier site held as its factors (see SweepState.absorb): the site
+    array S (left, right, down, up, vert) and the residual Res (vert, up,
+    other gate legs, the gate leg its first update consumes)."""
+
+    site: np.ndarray
+    res: np.ndarray
+
+
+def _keeps_pair(res: np.ndarray) -> bool:
+    """Whether a site whose first gate is a full update keeps the pair of
+    itself and the residual res (vert first, the consumed leg last) rather
+    than their product: when the residual has more rows (its other legs)
+    than vert x consumed leg, its QR shrinks it, and the update factors a
+    matrix at least that many times smaller than the product's."""
+    return math.prod(res.shape[1:-1]) > res.shape[0] * res.shape[-1]
 
 
 class _Recorder(SweepState):
@@ -1183,11 +1274,14 @@ class _Sweep:
                         for b, entry in held_bonds.items() if entry is not None}
         site_terms = {pos: [] for pos in dirty}
         bond_terms, bond_cuts, terms, cuts = {}, {}, [], []
+        first = {}  # site -> place of the leg its first gate consumes if a full update
+        for g, f in zip(plane.gates, full):
+            for pos, ax in zip((g.p1, g.p2), g.axes):
+                first.setdefault(pos, ax if f else None)
         for pos, site in plane.sites.items():
             if pos in dirty:
                 arr = splits[site.tid][0] if site.dense else residuals[site.tid]
-                state.sites[pos] = np.tensordot(state.sites[pos], arr, axes=([4], [0]))
-                state.rescale(pos)
+                state.absorb(pos, arr, first.get(pos))
                 site_terms[pos] += state.take()
                 terms.append(site_terms[pos][-1])
             else:
@@ -1205,7 +1299,7 @@ class _Sweep:
             for pos, ax, dim in zip(ends, g.axes, (len(gate.u), gate.vt.shape[1])):
                 if pos not in dirty:
                     state.sites[pos] = np.ones((1, 1, 1, 1, 1, dim))
-                elif ax:
+                elif ax and not isinstance(state.sites[pos], _Pair):  # a pair has it last
                     state.sites[pos] = np.moveaxis(state.sites[pos], 5 + ax, 5)
             state.truncation_cut = 0.0  # and so it stays on the fast path
             state.apply_bond_gate(g.p1, g.p2, gate, chi)

@@ -17,7 +17,7 @@ first, where a_j / b_j are the exponents of logical x_j / z_j.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,13 +65,11 @@ def simplify(net: TensorNetwork) -> None:
         if not net.tensors:
             net.add(Tensor.dense(np.array(pref), []))
         else:
+            # replaced, not changed: a batch variant shares its tensors
             tid = min(net.tensors)
             t = net.tensors[tid]
-            if t.kind == "dense":
-                t.values = t.values * pref
-            else:
-                t.w0 *= pref
-                t.w1 *= pref
+            net.tensors[tid] = (replace(t, values=t.values * pref) if t.kind == "dense"
+                                else replace(t, w0=t.w0 * pref, w1=t.w1 * pref))
 
 
 def wht_class_values(vals: list[ContractionValue]) -> list[ContractionValue]:
@@ -129,17 +127,22 @@ class DecodingNetwork:
         return vals
 
 
-def _apply_sign_flips(net: TensorNetwork, tensor_ids) -> None:
-    for tid in tensor_ids:
-        t = net.tensors[tid]
-        t.w1 = -t.w1
-
-
 def _batch_variant(base: TensorNetwork, port_flips: list[list[int]], t_bits) -> TensorNetwork:
-    net = base.copy()
+    """The network of sign setting t_bits: base with w1 negated on the
+    tensors of port_flips[j] for each set bit j.  Only those tensors are
+    new; it shares every other one with base and the other variants
+    (TensorNetwork.shallow_copy), whose dense arrays it makes read-only.
+    Nothing changes a tensor in place: simplify and the engines replace
+    one they change."""
+    for t in base.tensors.values():
+        if t.values is not None:
+            t.values.flags.writeable = False
+    net = base.shallow_copy()
     for j, bit in enumerate(t_bits):
         if bit:
-            _apply_sign_flips(net, port_flips[j])
+            for tid in port_flips[j]:
+                t = net.tensors[tid]
+                net.tensors[tid] = replace(t, w1=-t.w1)
     return net
 
 

@@ -229,6 +229,17 @@ class TensorNetwork:
         out._next_id = self._next_id
         return out
 
+    def shallow_copy(self) -> "TensorNetwork":
+        """A network of the same Tensor objects in maps of its own: tensors
+        can be added, removed or replaced in either network without
+        touching the other, but a tensor changed in place changes both."""
+        out = TensorNetwork()
+        out.tensors = dict(self.tensors)
+        out.coords = dict(self.coords)
+        out.log_scale = self.log_scale
+        out._next_id = self._next_id
+        return out
+
     def leg_map(self) -> dict[str, list[int]]:
         out: dict[str, list[int]] = {}
         for tid, t in self.tensors.items():

@@ -1,6 +1,7 @@
 """Approximate contraction engines: exactness, gauge freedom, truncation."""
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from tndecode.noise import depolarizing
 from tndecode.tensornet import Tensor, TensorNetwork
 
 BIG = 10**6  # effectively unbounded bond dimension
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def random_grid_net(rng, nx, ny, maxd=3, holes=()):
@@ -638,6 +640,130 @@ def test_simple_update_forms_no_whole_site_matrix():
     new = state.sites[a].nbytes + state.sites[b].nbytes
     assert state.sites[a].shape == (16, 8, 16, 16, 16)
     assert peak <= new + 6 * block_bytes, (peak, new, block_bytes)
+
+
+def _pair_and_whole(rng, ax, res_shape, first):
+    """A SweepState site at (1, 1) that absorbs a residual of res_shape as a
+    pair, its first gate consuming leg first, and a state holding the same
+    site absorbed whole, with that leg moved to GATE_AXIS as the sweep
+    moves it; bond weights spread over 1e-12..1 on every bond but the one
+    at ax, which the update consumes."""
+    pos = (1, 1)
+    S = rng.standard_normal((3, 4, 2, 5, res_shape[0]))
+    res = rng.uniform(-1.0, 1.0, res_shape)
+    res.flat[0] = 1.5  # in pow2_normalize's window: the pair keeps res's bits
+    states = SweepState([pos]), SweepState([pos])
+    for npos, nax in states[0].neighbors(pos):
+        if nax != ax:
+            lam = _spread(rng, S.shape[nax])
+            for state in states:
+                state.lam[state.bond(pos, npos)] = lam
+    for state in states:
+        state.sites[pos] = S
+    pair, whole = states
+    pair.absorb(pos, res, first)
+    whole.sites[pos] = np.moveaxis(np.tensordot(S, res, axes=([4], [0])), 5 + first, 5)
+    return pair, whole, pos
+
+
+def test_pair_factor_matches_the_absorbed_site():
+    # every bond axis, k = 1..4 pending gate legs and the consumed one at
+    # every place: the pair's R has the Gram of the absorbed site's weighted
+    # matrix, and its projection is that site's
+    rng = np.random.default_rng(61)
+    g_dims = (3, 2, 3, 2)
+    for k, ax in itertools.product(range(1, 5), range(4)):
+        for first in range(k):
+            pair, whole, pos = _pair_and_whole(rng, ax, (2, 7) + g_dims[:k], first)
+            assert isinstance(pair.sites[pos], approx._Pair) and pair.log_scale == 0.0
+            (R, project), (R0, project0) = pair._factor(pos, ax), whole._factor(pos, ax)
+            gram, gram0 = R.T @ R, R0.T @ R0
+            assert np.max(np.abs(gram - gram0)) <= 1e-12 * np.max(np.abs(gram0))
+            proj = rng.standard_normal((5, R0.shape[1]))
+            got, want = project(proj), project0(proj)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_absorb_keeps_a_pair_only_before_a_full_update_that_pays():
+    rng = np.random.default_rng(62)
+    res = rng.standard_normal((2, 3, 2, 2))
+    for first, shape, pair in ((None, (2, 3, 2, 2), False),  # the first gate is no full update
+                               (0, (2, 3, 2, 2), True),  # 3 x 2 rows > 2 x 2
+                               (0, (2, 1, 2, 2), False)):  # 1 x 2 rows = 2 x 2
+        state = SweepState([(0, 0)])
+        state.sites[(0, 0)] = np.ones((1, 1, 1, 1, 2))
+        state.absorb((0, 0), res[:, :shape[1]], first)
+        assert isinstance(state.sites[(0, 0)], approx._Pair) == pair
+
+
+def test_first_full_update_on_a_pair_allocates_less_than_the_absorbed_site():
+    # the site would be (8, 8, 8, 8, 4, 8, 8, 8), 64 MiB, absorbed whole
+    import tracemalloc
+
+    rng = np.random.default_rng(63)
+    a, b = (0, 0), (1, 0)
+    state = SweepState([a, b])
+    state.sites[a] = rng.standard_normal((8, 8, 8, 8, 4))
+    state.sites[b] = rng.standard_normal((8, 4, 4, 1, 1, 8))
+    for npos in ((-1, 0), (0, -1), (0, 1)):
+        state.lam[state.bond(a, npos)] = _spread(rng, 8)
+    state.lam[state.bond(a, b)] = _spread(rng, 8)
+    res = rng.standard_normal((4, 4, 8, 8, 8))
+    absorbed = 8 ** 4 * res[0].nbytes
+    gate = BondGate.of(rng.standard_normal((8, 8)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        state.absorb(a, res, first=1)
+        state.apply_bond_gate(a, b, gate, chi=8)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert state.sites[a].shape == (8, 8, 8, 8, 4, 8, 8)
+    assert peak < absorbed / 4, (peak, absorbed)
+
+
+def test_sweep_values_with_pairs_match_the_absorbed_sites(cold_plans, monkeypatch):
+    # a compressed d=3 circuit DEM at small chi, whose first full updates
+    # meet sites with up to four pending gate legs: warm and cold memo give
+    # the same bits, and absorbing every site whole gives the same sweep
+    # values
+    from tndecode import harness
+    from tndecode.dem import compress_dem, parse_dem
+
+    with open(os.path.join(DATA, "rotated_d3.dem")) as f:
+        state = compress_dem(parse_dem(f.read()), 4)
+    state.truncate_all(4)
+    problem = harness.DemProblem(
+        state.model, network_builder=lambda mdl, m, ports: state.decoding_network(m, ports))
+    config = harness.ContractionConfig("sweep", chi_peps=4, chi_split=4, chi_mps=16)
+    shots = _distinct_shots(problem, 3, 5)
+    pending, values = [], []
+    factor, sweep = SweepState._factor, approx.sweep_contract_3d
+
+    def recording(self, pos, ax):
+        if isinstance(self.sites[pos], approx._Pair):
+            pending.append(self.sites[pos].res.ndim - 2)
+        return factor(self, pos, ax)
+
+    def valued(*args):
+        values.append(sweep(*args))
+        return values[-1]
+
+    monkeypatch.setattr(SweepState, "_factor", recording)
+    monkeypatch.setattr(harness, "sweep_contract_3d", valued)
+    warm = [_value_bits(problem, m, config) for m in shots]
+    assert max(pending) >= 2
+    paired, swept = len(pending), values[:]
+    assert warm == [_cold_value_bits(problem, m, config) for m in shots]
+    monkeypatch.setattr(approx, "_keeps_pair", lambda res: False)
+    del values[:]
+    [_cold_value_bits(problem, m, config) for m in shots]
+    assert len(pending) == 2 * paired and len(values) == len(swept)
+    for got, want in zip(swept, values):
+        assert abs(got.mantissa * math.exp(got.log_scale - want.log_scale) - want.mantissa) \
+            <= 1e-12 * abs(want.mantissa)
 
 
 def _pair_value(state, p1, p2, gate=None):

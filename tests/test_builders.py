@@ -12,13 +12,14 @@ from tndecode.builders import (
     build_detector_network,
     build_generator_network,
     css_sector_parts,
+    simplify,
     wht_class_values,
 )
 from tndecode.codes import CssCode, five_qubit_code, surface_code_2d, surface_code_3d
 from tndecode.dem import parse_dem
 from tndecode.noise import QubitNoise, depolarizing
 from tndecode.pauli import PauliOperator
-from tndecode.tensornet import ContractionValue
+from tndecode.tensornet import ContractionValue, Tensor, TensorNetwork
 
 
 def values(dn, contract=None):
@@ -339,10 +340,49 @@ def test_networks_are_simplified_and_fresh(family):
         legs = a.leg_map()
         assert all(t.ndim for t in a.tensors.values())
         assert not any(t.ndim == 1 and len(legs[t.legs[0]]) == 2 for t in a.tensors.values())
-        assert a is not b and _contents(a) == _contents(b)
+        assert a is not b and a.tensors is not b.tensors and a.coords is not b.coords
+        assert _contents(a) == _contents(b)
         for tid, t in a.tensors.items():
             u = b.tensors[tid]
-            assert t is not u
-            # the compressed lattice's cached readouts are shared, read-only
+            # the tensors that a batch variant does not flip, and the
+            # compressed lattice's cached readouts, are shared, read-only
             assert t.values is None or not t.values.flags.writeable or \
                 not np.shares_memory(t.values, u.values)
+
+
+@pytest.mark.parametrize("build", [build_detector_network, build_generator_network])
+def test_batch_variants_in_any_order_leave_the_base_and_each_other_unchanged(build):
+    # each WHT variant of a depolarizing d=2 3D surface code network shares
+    # the tensors it does not flip with the base and the other variants;
+    # making and simplifying them, in any order, changes none of the
+    # variants made before nor any made after
+    code = surface_code_3d(2)
+    m = np.zeros(code.h_x.shape[0] + code.h_z.shape[0], np.uint8)
+    m[0] = 1
+    dn = build(code.tableau(), [depolarizing(0.1)] * code.n, m)
+    fresh = [_contents(net) for net in dn.networks()]
+    assert len(fresh) == 4 and len({repr(c) for c in fresh}) == 4
+    for order in itertools.permutations(range(len(fresh))):
+        made = {}
+        for i in order:
+            made[i] = dn.networks(i)[0]
+            assert {j: _contents(net) for j, net in made.items()} == \
+                {j: fresh[j] for j in made}
+    assert [_contents(net) for net in dn.networks()] == fresh
+
+
+@pytest.mark.parametrize("first", [Tensor.equality(["a", "b"], 0.3, 0.7),
+                                   Tensor.dense([[0.5, 1.0], [2.0, 0.25]], ["a", "b"])])
+def test_simplify_folds_a_sign_into_a_new_tensor(first):
+    # a negative scalar's sign goes into the first tensor, which a shallow
+    # copy shares with the network it was made from: simplify replaces that
+    # tensor, so the source keeps its weights and its value
+    net = TensorNetwork()
+    net.add(first)
+    net.add(Tensor.parity(["a", "b"], 0.6, 0.4))
+    net.add(Tensor.dense(np.array(-2.0), []))
+    want, value = _contents(net), net.contract_exact().value
+    copy = net.shallow_copy()
+    simplify(copy)
+    assert _contents(net) == want and len(copy.tensors) == 2
+    assert copy.contract_exact().value == pytest.approx(value, rel=1e-15) and value < 0

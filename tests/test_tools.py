@@ -177,3 +177,20 @@ def test_value_digest_decisions_mode_hashes_only_the_decided_classes():
     assert res.returncode == 0, res.stderr
     lines = res.stdout.split("\n")[:-1]
     assert [line.split()[0] for line in lines] == [*WORKLOAD_LINES, "dem-d3-lattice"]
+
+
+def test_value_digest_smoke_prints_the_decisions_of_each_scaling(tmp_path):
+    from run_circuit_smoke import PARAMS
+
+    res = subprocess.run(
+        [sys.executable, os.path.join(TOOLS, "value_digest.py"), "--smoke", "1"],
+        capture_output=True, text=True, timeout=300, cwd=tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    lines = [line.split() for line in res.stdout.splitlines()]
+    assert [line[0] for line in lines] == [f"smoke-{s}" for s in PARAMS["scalings"]]
+    for _, value, failures in lines:
+        # one shot per scaling: the digest of its one decided class
+        assert value in {hashlib.sha256(f"{c}\n".encode()).hexdigest() for c in (0, 1)}
+        assert failures in ("0/1", "1/1")
+    assert not any(tmp_path.iterdir())

@@ -6,6 +6,7 @@
     python3 tools/value_digest.py --src OTHER/src # another checkout's package
     python3 tools/value_digest.py --decisions     # only the decided classes
     python3 tools/value_digest.py --cold          # an empty sweep memo for every decode
+    python3 tools/value_digest.py --smoke 300     # the circuit-smoke shots' decisions
 
 For each workload of bench/workloads.py it decodes the first --shots shots
 of workloads.DEFAULT_SEED at the workload's timed chi and prints one line
@@ -20,8 +21,13 @@ covers only the classes harness._decide chooses, so a kernel that moves
 values can still show that it decides every shot as another checkout
 does.  With --cold the sweep memo is emptied before each decode, so every
 contraction is computed afresh: a checkout whose warm digests equal its
-cold ones shows that its memo moves no bit.  BLAS runs on one thread, as
-in the benchmark; the tool only reads bench/ and writes nothing.
+cold ones shows that its memo moves no bit.  With --smoke N it prints
+instead, for each scaling of tools/run_circuit_smoke.py (its PARAMS: the
+same compression, chi and seed), one line "smoke-<scaling> <sha256>
+<failures>/N": the decision digest and the failure count of the first N
+shots, so two checkouts decide those shots alike when the lines agree.
+BLAS runs on one thread, as in the benchmark; the tool only reads bench/
+and tools/ and writes nothing.
 """
 import argparse
 import hashlib
@@ -50,6 +56,26 @@ def digest(harness, problem, config, shots: int, seed: int, decisions: bool,
     return h.hexdigest()
 
 
+def smoke_digest(harness, dem, params: dict, scale: float, shots: int) -> tuple:
+    """(decision digest, failures) of the first shots of the circuit-smoke
+    stream at one scaling, decoded as tools/run_circuit_smoke.py decodes
+    them; each shot adds the line digest(decisions=True) adds."""
+    with open(os.path.join(ROOT, params["dem"])) as f:
+        model = dem.parse_dem(f.read()).scaled(scale)
+    state = dem.compress_dem(model, params["chi_compress"])
+    state.truncate_all(params["chi_truncate"])
+    problem = harness.DemProblem(
+        state.model, network_builder=lambda mdl, m, ports: state.decoding_network(m, ports))
+    config = harness.ContractionConfig(engine="sweep", chi_peps=params["chi_peps"],
+                                       chi_split=params["chi_split"], chi_mps=params["chi_mps"])
+    h, failures = hashlib.sha256(), 0
+    for true_cls, m in harness.sample_errors(problem, shots, params["seed"]):
+        decided = harness._decide(problem, m, config)
+        failures += decided != true_cls
+        h.update(f"{decided}\n".encode())
+    return h.hexdigest(), failures
+
+
 def lattice_digest(state) -> str:
     """The digest of a compressed lattice: its log_scale, and the shape and
     bits of every site array and bond weight vector."""
@@ -68,6 +94,8 @@ def main() -> None:
     ap.add_argument("--cold", action="store_true",
                     help="empty the sweep memo before each decode")
     ap.add_argument("--shots", type=int, default=6, help="leading shots per workload")
+    ap.add_argument("--smoke", type=int, metavar="N",
+                    help="only the first N circuit-smoke shots at each scaling")
     ap.add_argument("--src", default=os.path.join(ROOT, "src"),
                     help="directory holding the tndecode package")
     args = ap.parse_args()
@@ -76,6 +104,14 @@ def main() -> None:
     from tndecode import approx, dem, harness
     from workloads import DEFAULT_SEED, WORKLOADS, _toy_dem_text, config
 
+    if args.smoke is not None:
+        sys.path.insert(0, os.path.join(ROOT, "tools"))
+        from run_circuit_smoke import PARAMS  # imports tndecode, already loaded from --src
+
+        for scale in PARAMS["scalings"]:
+            value, failures = smoke_digest(harness, dem, PARAMS, scale, args.smoke)
+            print(f"smoke-{scale}", value, f"{failures}/{args.smoke}", flush=True)
+        return
     for name, wl in WORKLOADS.items():
         problem = wl.build(ROOT, args.quick)
         print(name, digest(harness, problem, config(wl.chi), args.shots, DEFAULT_SEED,
