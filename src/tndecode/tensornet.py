@@ -217,16 +217,13 @@ class TensorNetwork:
         return tid
 
     def copy(self) -> "TensorNetwork":
-        out = TensorNetwork()
+        out = self.shallow_copy()
         for tid, t in self.tensors.items():
             out.tensors[tid] = Tensor(
                 legs=list(t.legs), kind=t.kind,
                 values=None if t.values is None else t.values.copy(),
                 w0=t.w0, w1=t.w1,
             )
-        out.coords = dict(self.coords)
-        out.log_scale = self.log_scale
-        out._next_id = self._next_id
         return out
 
     def shallow_copy(self) -> "TensorNetwork":
