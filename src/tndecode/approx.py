@@ -27,8 +27,10 @@ A carrier site is never formed with all its in-plane legs pending when
 its first gate is a full simple update and its residual has more rows
 than vertical x consumed leg: until that update it is held as the pair
 of the site and the residual, and the update reads its R from three
-small QRs of the factors (SweepState.absorb, SweepState._factor).  Every
-other site absorbs its residual whole.
+small QRs of the factors (SweepState.absorb, _Pair.factor).  Every
+other site absorbs its residual whole.  The pair is an entry of the
+state's factored map, the one place where the simple update, shared
+with the DEM compressor, reads a site whose array is not formed.
 
 A sweep memoizes (_memo) what it derives from the network.  The layout
 of the planes (the rank-compressed grid, each site's leg order and
@@ -786,7 +788,8 @@ class LatticeState:
     bond (ordered pair of positions) to a positive weight vector
     normalized to unit max; absent entries mean a trivial bond.  The
     network value is the contraction of the sites with diag(lam) on every
-    bond, times exp(log_scale).
+    bond, times exp(log_scale).  factored maps a site whose array is not
+    formed to what its next simple update reads in its place (_factor).
     """
 
     AXIS: dict  # lattice step -> bond axis, set by each subclass
@@ -794,6 +797,7 @@ class LatticeState:
 
     def __init__(self, sites: dict):
         self.sites = sites
+        self.factored = {}
         self.lam = {}
         self.log_scale = 0.0
         self.truncation_cut = 0.0
@@ -826,19 +830,25 @@ class LatticeState:
         self.sites[pos], log_factor = pow2_normalize(self.sites[pos], inplace=True)
         self.add_log(log_factor)
 
-    def _site_matrix(self, pos, ax, lam_at=None):
+    def _site_matrix(self, pos, ax):
         """The site at pos read as the matrix (other axes) x (bond at ax,
         gate leg), the weights of its other nontrivial bonds as one row
-        scaling, and the dimensions of the other axes.  A matrix of one
-        chunk (under two blocks, see _row_chunks) is formed whole, a copy
-        only where the array's layout needs one.  A larger one is a view of
-        the stored array, never formed whole: 2D where the layout allows
-        it, otherwise a site view with the two axes moved last (see
-        _copy_rows).  lam_at maps an axis to its bond weights; by default
-        they are the state's."""
+        scaling (the outer product of their weights in the rows' C order;
+        other axes weigh 1), and the dimensions of the other axes.  A
+        matrix of one chunk (under two blocks, see _row_chunks) is formed
+        whole, a copy only where the array's layout needs one.  A larger
+        one is a view of the stored array, never formed whole: 2D where the
+        layout allows it, otherwise a site view with the two axes moved
+        last (see _copy_rows)."""
         A = self.sites[pos]
         rest = [i for i in range(A.ndim) if i not in (ax, self.GATE_AXIS)]
-        w = self._row_weights(pos, A.shape, rest, lam_at)
+        lam = {nax: self.get_lam(pos, npos) for npos, nax in self.neighbors(pos)}
+        w = np.ones(1)
+        for i in rest:
+            if len(lam.get(i, ())) > 1:
+                w = np.multiply.outer(w, lam[i]).ravel()
+            elif A.shape[i] > 1:
+                w = np.repeat(w, A.shape[i])
         dims = tuple(A.shape[i] for i in rest)
         mat = np.transpose(A, rest + [ax, self.GATE_AXIS])
         cols = A.shape[ax] * A.shape[self.GATE_AXIS]
@@ -850,27 +860,6 @@ class LatticeState:
             pass
         return mat, w, dims
 
-    def _bond_weights(self, pos):
-        """Bond axis of the site at pos -> weights of that bond."""
-        return {nax: self.get_lam(pos, npos) for npos, nax in self.neighbors(pos)}
-
-    def _row_weights(self, pos, shape, rest, lam_at=None):
-        """The weights of the rows of an array of the given shape at pos,
-        read with the axes rest as its rows in C order: the outer product
-        of the weights of each nontrivial bond among them, by default the
-        state's (lam_at maps an axis to its bond weights); other axes
-        weigh 1."""
-        if lam_at is None:
-            lam_at = self._bond_weights(pos)
-        w = np.ones(1)
-        for i in rest:
-            lv = lam_at.get(i)
-            if lv is not None and len(lv) > 1:
-                w = np.multiply.outer(w, lv).ravel()
-            elif shape[i] > 1:
-                w = np.repeat(w, shape[i])
-        return w
-
     def _factor(self, pos, ax):
         """One endpoint of the simple update: the R factor of the site at
         pos as a row-weighted matrix against the bond at ax (see
@@ -879,7 +868,12 @@ class LatticeState:
         times P^T with the new bond at ax.  Both read the stored array one
         block of rows at a time (_tsqr_r, _project), so that besides the
         new array an endpoint holds at most one chunk of its matrix, under
-        two blocks, never the whole."""
+        two blocks, never the whole.  A site in factored is read by its
+        entry instead, which this takes out, so that entry.factor(state,
+        pos, ax) serves only the site's next update."""
+        held = self.factored.pop(pos, None)
+        if held is not None:
+            return held.factor(self, pos, ax)
         mat, w, dims = self._site_matrix(pos, ax)
 
         def project(proj):
@@ -904,10 +898,11 @@ class LatticeState:
         which streams the stored array: no site's matrix is formed whole,
         so an update holds the two sites, their new arrays and a few blocks
         of rows.  R enters only as R^T R and through the core, whose SVD
-        moves with any orthogonal change of R's rows, so a _factor may
-        return the R of any matrix with the Gram of W A (SweepState's from
-        a pair's factors, the compressor's of a fresh site).  The stored
-        site arrays are only read; the new sites are fresh arrays."""
+        moves with any orthogonal change of R's rows, so the entry of a
+        site in factored may give the R of any matrix with the Gram of W A
+        (a carrier pair's from its factors, a fresh compressor site's from
+        the old site).  The stored site arrays are only read; the new sites
+        are fresh arrays."""
         ax1, ax2 = self.bond_axes(p1, p2)
         (R1, project1), (R2, project2) = self._factor(p1, ax1), self._factor(p2, ax2)
         lam = self.get_lam(p1, p2)
@@ -978,8 +973,8 @@ class SweepState(LatticeState):
     Site arrays have axes (left, right, down, up, vert, g...); left/right
     step the first grid coordinate, down/up the second, and the gate legs
     still to be consumed follow the vertical leg.  Between absorbing a
-    residual and its first gate, a site may instead hold a _Pair of its
-    factors (absorb), which only that gate, a full update, reads.
+    residual and its first gate, a site may instead be held as a pair of
+    its factors (absorb), which only that gate, a full update, reads.
     """
 
     AXIS = {(-1, 0): 0, (1, 0): 1, (0, -1): 2, (0, 1): 3}
@@ -993,53 +988,22 @@ class SweepState(LatticeState):
         vertical leg of the site at pos.  first is the place among g_1..g_k
         of the leg that the site's first gate consumes when that gate is a
         full simple update, else None.  Such a site whose residual
-        _keeps_pair holds the pair _Pair(S, Res) instead of the product: S
-        the site as it is, Res the residual with that leg moved last and
-        scaled into pow2_normalize's window, whose factor is the log factor
-        of the absorption.  The pair lives until that update, which reads
-        it through _factor; no other operation reads the site before it."""
+        _keeps_pair is held as a pair instead of the product: the site S
+        stays in sites, viewed with a unit axis in the vertical leg's place
+        and the vertical leg in the gate leg's, and factored holds
+        _Pair(Res), Res the residual with that leg moved last and scaled
+        into pow2_normalize's window, whose factor is the log factor of the
+        absorption.  The pair lives until that update, whose _factor takes
+        it out; no other operation reads the site before it."""
         S = self.sites[pos]
         if first is not None and _keeps_pair(moved := np.moveaxis(res, 2 + first, -1)):
             moved, log_factor = pow2_normalize(moved)
-            self.sites[pos] = _Pair(S, moved)
+            self.sites[pos] = S[..., None, :]
+            self.factored[pos] = _Pair(moved)
             self.add_log(log_factor)
             return
         self.sites[pos] = np.tensordot(S, res, axes=([4], [0]))
         self.rescale(pos)
-
-    def _factor(self, pos, ax):
-        """The simple-update endpoint of a site that holds a pair (see
-        absorb), from its factors; any other site takes the default.
-
-        The site matrix is M[(o, r), (b, g)] = sum_v S[o, b, v] Res[v, r, g],
-        o the other bonds, b the bond at ax, v the vertical leg, r the
-        residual's other legs and g the consumed leg.  With W_o the weights
-        of the other bonds, take W_o S[o, (b, v)] = Q_S R_S and
-        Res[r, (v, g)] = Q_r R_r; then W_o M = (Q_S (x) Q_r) T with
-        T[(i, j), (b, g)] = sum_v R_S[i, (b, v)] R_r[j, (v, g)], and Q_S (x)
-        Q_r has orthonormal columns, so the R of T has R^T R = M^T W_o^2 M,
-        which is all the simple update reads of an R.  project forms the
-        new site as S[o, (b, v)] times Res contracted with the projector
-        over g, in the default's layout.  Neither forms M."""
-        pair = self.sites[pos]
-        if not isinstance(pair, _Pair):
-            return super()._factor(pos, ax)
-        S, res = pair
-        rest = [i for i in range(4) if i != ax]
-        b, v, g = S.shape[ax], S.shape[4], res.shape[-1]
-        S_mat = np.transpose(S, rest + [ax, 4]).reshape(-1, b * v)
-        R_S = _tsqr_r(S_mat, self._row_weights(pos, S.shape, rest)).reshape(-1, b, v)
-        R_r = _tsqr_r(np.moveaxis(res, 0, -2).reshape(-1, v * g)).reshape(-1, v, g)
-        T = np.tensordot(R_S, R_r, axes=([2], [1])).transpose(0, 2, 1, 3)
-        dims = tuple(S.shape[i] for i in rest) + res.shape[1:-1]
-
-        def project(proj):
-            k = len(proj)
-            X = np.tensordot(proj.reshape(k, b, g), res, axes=([2], [-1]))  # (k, b, v, r)
-            X = np.moveaxis(X, 0, -1).reshape(b * v, -1)
-            return np.moveaxis((S_mat @ X).reshape(dims + (k,)), -1, ax)
-
-        return _tsqr_r(T.reshape(-1, b * g)), project
 
     @staticmethod
     def full_update(bond_len: int, gate: BondGate, chi: int) -> bool:
@@ -1080,12 +1044,42 @@ class SweepState(LatticeState):
 
 
 class _Pair(NamedTuple):
-    """A carrier site held as its factors (see SweepState.absorb): the site
-    array S (left, right, down, up, vert) and the residual Res (vert, up,
-    other gate legs, the gate leg its first update consumes)."""
+    """The residual of a carrier site held as a pair (see SweepState.absorb):
+    Res (vert, up, other gate legs, the gate leg its first update
+    consumes), which the site S in sites still has to absorb."""
 
-    site: np.ndarray
     res: np.ndarray
+
+    def factor(self, state, pos, ax):
+        """The simple-update endpoint of the site at pos from its factors.
+
+        The site matrix is M[(o, r), (b, g)] = sum_v S[o, b, v] Res[v, r, g],
+        o the other bonds, b the bond at ax, v the vertical leg, r the
+        residual's other legs and g the consumed leg.  With W_o the weights
+        of the other bonds, take W_o S[o, (b, v)] = Q_S R_S, S read by the
+        kernel's _site_matrix with v in the gate leg's place, and
+        Res[r, (v, g)] = Q_r R_r; then W_o M = (Q_S (x) Q_r) T with
+        T[(i, j), (b, g)] = sum_v R_S[i, (b, v)] R_r[j, (v, g)], and Q_S (x)
+        Q_r has orthonormal columns, so the R of T has R^T R = M^T W_o^2 M,
+        which is all the simple update reads of an R.  project forms the
+        new site as S[o, (b, v)] times Res contracted with the projector
+        over g, in the default's layout.  Neither forms M."""
+        res = self.res
+        S_mat, w, dims = state._site_matrix(pos, ax)
+        S = state.sites[pos]
+        b, v, g = S.shape[ax], S.shape[state.GATE_AXIS], res.shape[-1]
+        R_S = _tsqr_r(S_mat, w).reshape(-1, b, v)
+        R_r = _tsqr_r(np.moveaxis(res, 0, -2).reshape(-1, v * g)).reshape(-1, v, g)
+        T = np.tensordot(R_S, R_r, axes=([2], [1])).transpose(0, 2, 1, 3)
+        dims = dims[:-1] + res.shape[1:-1]  # the unit axis in place of vert goes
+
+        def project(proj):
+            k = len(proj)
+            X = np.tensordot(proj.reshape(k, b, g), res, axes=([2], [-1]))  # (k, b, v, r)
+            X = np.moveaxis(X, 0, -1).reshape(b * v, -1)
+            return np.moveaxis(_project(S_mat, X.T).reshape(dims + (k,)), -1, ax)
+
+        return _tsqr_r(T.reshape(-1, b * g)), project
 
 
 def _keeps_pair(res: np.ndarray) -> bool:
@@ -1299,7 +1293,7 @@ class _Sweep:
             for pos, ax, dim in zip(ends, g.axes, (len(gate.u), gate.vt.shape[1])):
                 if pos not in dirty:
                     state.sites[pos] = np.ones((1, 1, 1, 1, 1, dim))
-                elif ax and not isinstance(state.sites[pos], _Pair):  # a pair has it last
+                elif ax and pos not in state.factored:  # a pair has it last
                     state.sites[pos] = np.moveaxis(state.sites[pos], 5 + ax, 5)
             state.truncation_cut = 0.0  # and so it stays on the fast path
             state.apply_bond_gate(g.p1, g.p2, gate, chi)

@@ -495,13 +495,8 @@ def build_dem_network(
     m = np.asarray(m, dtype=np.uint8) % 2
     if len(m) != model.n_detectors:
         raise ValueError("detector outcome length mismatch")
-    eff = m.copy()
-    for d in model.baseline_flips:
-        eff[d] ^= 1
+    eff = m ^ model.syndrome_offset
     nl = model.n_logicals
-    class_xor = 0
-    for o in model.baseline_logicals:
-        class_xor |= 1 << (nl - 1 - o)
 
     def build(fixed_class: int | None) -> tuple:
         net = TensorNetwork()
@@ -539,10 +534,10 @@ def build_dem_network(
             (lambda t: (lambda: _batch_variant(base, flips, t)))(t)
             for t in _settings(nl)
         ]
-        return DecodingNetwork("detector", nl, variants, class_xor=class_xor)
+        return DecodingNetwork("detector", nl, variants, class_xor=model.class_offset)
     classes = list(range(2 ** nl)) if ports == "classes" else [int(ports)]
     variants = [(lambda c: (lambda: build(c)[0]))(c) for c in classes]
-    return DecodingNetwork("detector", 0, variants, class_xor=class_xor)
+    return DecodingNetwork("detector", 0, variants, class_xor=model.class_offset)
 
 
 def build_detector_cubic_network(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +51,16 @@ class DetectorErrorModel:
     @property
     def n_mechanisms(self) -> int:
         return len(self.mechanisms)
+
+    @property
+    def syndrome_offset(self) -> np.ndarray:
+        """The baseline syndrome: 1 on each detector in baseline_flips."""
+        return np.isin(np.arange(self.n_detectors), self.baseline_flips).astype(np.uint8)
+
+    @property
+    def class_offset(self) -> int:
+        """The baseline's logical class index, logical 0 most significant."""
+        return sum(1 << (self.n_logicals - 1 - o) for o in set(self.baseline_logicals))
 
     def check_matrix(self) -> np.ndarray:
         """H as a dense (n_detectors x n_mechanisms) F2 matrix."""
@@ -86,6 +97,15 @@ class DetectorErrorModel:
 
 _ERROR_RE = re.compile(r"^error\(([^)]*)\)\s*(.*)$")
 _DETECTOR_RE = re.compile(r"^detector\(([^)]*)\)\s*(.*)$")
+_TARGET_RE = re.compile(r"([DL])([0-9]+)")
+
+
+def _target(tok: str, kinds: str, lineno: int) -> tuple:
+    """(kind, index) of a target: a letter of kinds, then unsigned digits."""
+    t = _TARGET_RE.fullmatch(tok)
+    if t is None or t.group(1) not in kinds:
+        raise DemParseError(f"line {lineno}: malformed target {tok!r}")
+    return t.group(1), int(t.group(2))
 
 
 def parse_dem(text: str) -> DetectorErrorModel:
@@ -107,12 +127,8 @@ def parse_dem(text: str) -> DetectorErrorModel:
                 raise DemParseError(f"line {lineno}: probability {p} out of [0,1]")
             dets, logs = [], []
             for tok in err.group(2).split():
-                if tok.startswith("D"):
-                    dets.append(int(tok[1:]))
-                elif tok.startswith("L"):
-                    logs.append(int(tok[1:]))
-                else:
-                    raise DemParseError(f"line {lineno}: unknown target {tok!r}")
+                kind, idx = _target(tok, "DL", lineno)
+                (dets if kind == "D" else logs).append(idx)
             model.mechanisms.append(
                 Mechanism(p, tuple(sorted(set(dets))), tuple(sorted(set(logs))))
             )
@@ -122,9 +138,9 @@ def parse_dem(text: str) -> DetectorErrorModel:
         det = _DETECTOR_RE.match(line)
         if det:
             targets = det.group(2).split()
-            if len(targets) != 1 or not targets[0].startswith("D"):
+            if len(targets) != 1:
                 raise DemParseError(f"line {lineno}: detector line needs one D target")
-            idx = int(targets[0][1:])
+            idx = _target(targets[0], "D", lineno)[1]
             if idx in seen_detector_decl:
                 raise DemParseError(f"line {lineno}: duplicate detector D{idx}")
             seen_detector_decl.add(idx)
@@ -136,9 +152,9 @@ def parse_dem(text: str) -> DetectorErrorModel:
             continue
         if line.startswith("logical_observable"):
             toks = line.split()
-            if len(toks) != 2 or not toks[1].startswith("L"):
+            if len(toks) != 2:
                 raise DemParseError(f"line {lineno}: malformed logical_observable")
-            max_log = max(max_log, int(toks[1][1:]))
+            max_log = max(max_log, _target(toks[1], "L", lineno)[1])
             continue
         raise DemParseError(f"line {lineno}: unknown instruction {line!r}")
     model.n_detectors = max_det + 1
@@ -211,23 +227,18 @@ def brute_force_class_probs(model: DetectorErrorModel, m) -> np.ndarray:
     l = model.logical_matrix()
     probs = np.array([mech.p for mech in model.mechanisms])
     out = np.zeros(2 ** model.n_logicals)
-    base = np.zeros(model.n_detectors, dtype=np.uint8)
-    for d in model.baseline_flips:
-        base[d] = 1
-    base_l = np.zeros(model.n_logicals, dtype=np.uint8)
-    for o in model.baseline_logicals:
-        base_l[o] = 1
+    base, xor = model.syndrome_offset, model.class_offset
     for subset in range(2 ** nm):
         x = np.array([(subset >> j) & 1 for j in range(nm)], dtype=np.uint8)
         syn = (h @ x + base) % 2
         if not np.array_equal(syn, m):
             continue
-        cls = (l @ x + base_l) % 2
+        cls = (l @ x) % 2
         idx = 0
         for bit in cls:
             idx = (idx << 1) | int(bit)
         w = np.prod(np.where(x == 1, probs, 1 - probs))
-        out[idx] += w
+        out[idx ^ xor] += w
     return out
 
 
@@ -308,6 +319,47 @@ def _manhattan_path(a, b):
     return out
 
 
+class _Fresh(NamedTuple):
+    """A fresh site (see CompressedCubicNetwork.snake): the old site S in
+    sites (x) the wire bit b on its out-bond at axis ax_out, its open leg
+    flipped where b = 1 if flip."""
+
+    ax_out: int
+    flip: bool
+
+    def factor(self, state, pos, ax):
+        """The simple-update endpoint of the fresh site at pos against its
+        in-bond at ax, the first bond of it that is truncated.  Its doubled
+        matrix is block diagonal in b, and the block of b = 1 only permutes
+        the rows of that of b = 0 (the open-leg flip), so both have the
+        Gram matrix of S, read with the weights of its out-bond as they are
+        before doubling: R = kron(R_S, I_2).  The new array is S P_b^T for
+        each b, P_b the projector's columns of bit b, written into the
+        bit-b half of the doubled out-bond and flipped on the open leg
+        where the site is touched.  Like the default, both read S one chunk
+        of rows at a time (_tsqr_r, _row_chunks), and each chunk's products
+        go straight into their rows of the two halves."""
+        mat, w, dims = state._site_matrix(pos, ax)
+        j = self.ax_out - (self.ax_out > ax)  # place of the out-bond among the other axes
+
+        def project(proj):
+            k = len(proj)
+            out = np.empty(dims[:j] + (2 * dims[j],) + dims[j + 1:] + (k,))
+            halves = out.reshape(dims[:j + 1] + (2,) + dims[j + 1:] + (k,))
+            into = [halves[(slice(None),) * (j + 1) + (b,)] for b in (0, 1)]
+            if self.flip:
+                into[1] = into[1][..., ::-1, :]
+            for lo, hi, chunk in _row_chunks(mat):
+                for b in (0, 1):
+                    N = chunk @ proj[:, b::2].T
+                    for idx, p, q in _row_pieces(dims, lo, hi):
+                        dst = into[b][idx]
+                        dst[...] = N[p - lo:q - lo].reshape(dst.shape)
+            return np.moveaxis(out, -1, ax)
+
+        return np.kron(_tsqr_r(mat, w), np.eye(2)), project
+
+
 class CompressedCubicNetwork(LatticeState):
     """W x H x D lattice of tensors, one open detector leg per site.
 
@@ -332,7 +384,6 @@ class CompressedCubicNetwork(LatticeState):
         self.dims = tuple(dims)
         self.site_of = dict(site_of)  # detector/pseudo index -> site
         self.chi = chi
-        self._fresh = {}  # site -> (in-bond axis, out-bond axis, flip), see snake
         self._readouts = {}  # site -> (arrays read, {end bytes: readout}), see _readout
         self.updates = 0  # simple updates run by truncate_bond
         open_sites = set(site_of.values())
@@ -360,13 +411,14 @@ class CompressedCubicNetwork(LatticeState):
         visit.  The first and the last site, sites the path visits more
         than once and backtrack sites (in-bond = out-bond) are written at
         once, by _wire.  Every other site is the old site (x) the wire: it
-        is left as it is and marked fresh, and the truncation of its
-        in-bond reads it through _factor without forming the doubled
-        array, which is four times its size.
+        is left as it is and registered as _Fresh in factored, and the
+        truncation of its in-bond reads it without forming the doubled
+        array, which is four times its size.  Its out-bond is doubled only
+        after that truncation, which reads its weights as they are.
 
         Truncations interleave with the writes: bond (i-1, i) is truncated
-        right after site i is written or marked fresh.  So each path bond
-        is truncated once per mechanism, and a site the path revisits is
+        right after site i is written or registered.  So each path bond is
+        truncated once per mechanism, and a site the path revisits is
         written again only after its earlier wire bonds are back under the
         cap.  A backtrack's bond, doubled from both sides, is truncated one
         step later, after the revisited site beyond it has doubled its side
@@ -380,21 +432,28 @@ class CompressedCubicNetwork(LatticeState):
         touched_set = set(touched)
         marked = set()
         w = (1.0 - mech.p, mech.p)
+
+        def double(i):  # the wire bit on path bond (i, i + 1)
+            bond = self.bond(path[i], path[i + 1])
+            self.lam[bond] = np.kron(self.get_lam(*bond), np.ones(2))
+
         for i, pos in enumerate(path):
             ax_in = self.AXIS[tuple(np.subtract(path[i - 1], pos))] if i else None
             ax_out = None
             if i < len(path) - 1:
                 ax_out = self.AXIS[tuple(np.subtract(path[i + 1], pos))]
-                self.lam[self.bond(pos, path[i + 1])] = np.kron(
-                    self.get_lam(pos, path[i + 1]), np.ones(2))
             flip = pos in touched_set and pos not in marked
             marked.add(pos)
             if None not in (ax_in, ax_out) and ax_in != ax_out and path.count(pos) == 1:
-                self._fresh[pos] = (ax_in, ax_out, flip)
-            else:
-                self.sites[pos] = self._wire(self.sites[pos], ax_in, ax_out, flip,
-                                             w if i == 0 else (1.0, 1.0))
-                self.rescale(pos)
+                self.factored[pos] = _Fresh(ax_out, flip)
+                self.truncate_bond(path[i - 1], pos)
+                double(i)
+                continue
+            if ax_out is not None:
+                double(i)
+            self.sites[pos] = self._wire(self.sites[pos], ax_in, ax_out, flip,
+                                         w if i == 0 else (1.0, 1.0))
+            self.rescale(pos)
             if ax_in is not None and ax_in != ax_out:
                 self.truncate_bond(path[i - 1], pos)
 
@@ -421,46 +480,6 @@ class CompressedCubicNetwork(LatticeState):
                 else:
                     np.multiply(S[..., d], w[b], out=dst)
         return T
-
-    def _factor(self, pos, ax):
-        """The simple-update endpoint of a fresh site (see snake) against
-        its in-bond, the first bond of it that is truncated.  Its doubled
-        matrix is block diagonal in the wire bit b, and the block of b = 1
-        only permutes the rows of that of b = 0 (the open-leg flip), so
-        both have the Gram matrix of the old site S, read with the old
-        weights of its out-bond: R = kron(R_S, I_2).  The new array is
-        S P_b^T for each b, P_b the projector's columns of bit b, written
-        into the bit-b half of the doubled out-bond and flipped on the open
-        leg where the site is touched.  Like the default, both read S one
-        chunk of rows at a time (_tsqr_r, _row_chunks), and each chunk's
-        products go straight into their rows of the two halves.  Any other
-        site takes the default."""
-        fresh = self._fresh.pop(pos, None)
-        if fresh is None:
-            return super()._factor(pos, ax)
-        ax_in, ax_out, flip = fresh
-        assert ax == ax_in and self.sites[pos].shape[self.GATE_AXIS] == 1
-        lam_at = self._bond_weights(pos)
-        lam_at[ax_out] = lam_at[ax_out][::2]
-        mat, w, dims = self._site_matrix(pos, ax, lam_at)
-        j = ax_out - (ax_out > ax)  # place of the out-bond among the other axes
-
-        def project(proj):
-            k = len(proj)
-            out = np.empty(dims[:j] + (2 * dims[j],) + dims[j + 1:] + (k,))
-            halves = out.reshape(dims[:j + 1] + (2,) + dims[j + 1:] + (k,))
-            into = [halves[(slice(None),) * (j + 1) + (b,)] for b in (0, 1)]
-            if flip:
-                into[1] = into[1][..., ::-1, :]
-            for lo, hi, chunk in _row_chunks(mat):
-                for b in (0, 1):
-                    N = chunk @ proj[:, b::2].T
-                    for idx, p, q in _row_pieces(dims, lo, hi):
-                        dst = into[b][idx]
-                        dst[...] = N[p - lo:q - lo].reshape(dst.shape)
-            return np.moveaxis(out, -1, ax)
-
-        return np.kron(_tsqr_r(mat, w), np.eye(2)), project
 
     # -- simple-update truncation -----------------------------------------
     def truncate_bond(self, p1, p2, chi=None) -> None:
@@ -494,9 +513,7 @@ class CompressedCubicNetwork(LatticeState):
         (m XOR the baseline), a logical pseudo-site's in the
         Hadamard-terminated port (1, +-1) of its sign bit."""
         nd = self.model.n_detectors
-        flips = np.zeros(nd, dtype=np.uint8)
-        flips[list(self.model.baseline_flips)] = 1
-        m = np.asarray(m, dtype=np.uint8) ^ flips
+        m = np.asarray(m, dtype=np.uint8) ^ self.model.syndrome_offset
         ends = {pos: np.eye(2)[m[i]] if i < nd else
                 np.array([1.0, -1.0 if t_bits[i - nd] else 1.0])
                 for i, pos in self.site_of.items()}
@@ -532,10 +549,7 @@ class CompressedCubicNetwork(LatticeState):
             (lambda t: (lambda: self._closed_network(m, t)))(t)
             for t in _settings(k)
         ]
-        xor = 0
-        for o in self.model.baseline_logicals:
-            xor |= 1 << (k - 1 - o)
-        return DecodingNetwork("dem", k, variants, class_xor=xor)
+        return DecodingNetwork("dem", k, variants, class_xor=self.model.class_offset)
 
     # -- persistence -------------------------------------------------------
     def save(self, path) -> None:

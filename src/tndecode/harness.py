@@ -206,12 +206,8 @@ class DemProblem:
         self.probs = np.array([mech.p for mech in model.mechanisms])
         self.h = model.check_matrix()
         self.l = model.logical_matrix()
-        self.base_m = np.zeros(model.n_detectors, dtype=np.uint8)
-        for det in model.baseline_flips:
-            self.base_m[det] = 1
-        self.base_l = 0
-        for o in model.baseline_logicals:
-            self.base_l |= 1 << (model.n_logicals - 1 - o)
+        self.base_m = model.syndrome_offset
+        self.base_l = model.class_offset
         self.problem_id = f"dem-{model.n_detectors}d-{model.n_mechanisms}m"
 
     def network(self, m, ports="batch") -> DecodingNetwork:

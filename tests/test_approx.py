@@ -675,8 +675,9 @@ def test_pair_factor_matches_the_absorbed_site():
     for k, ax in itertools.product(range(1, 5), range(4)):
         for first in range(k):
             pair, whole, pos = _pair_and_whole(rng, ax, (2, 7) + g_dims[:k], first)
-            assert isinstance(pair.sites[pos], approx._Pair) and pair.log_scale == 0.0
+            assert pos in pair.factored and pair.log_scale == 0.0
             (R, project), (R0, project0) = pair._factor(pos, ax), whole._factor(pos, ax)
+            assert not pair.factored
             gram, gram0 = R.T @ R, R0.T @ R0
             assert np.max(np.abs(gram - gram0)) <= 1e-12 * np.max(np.abs(gram0))
             proj = rng.standard_normal((5, R0.shape[1]))
@@ -694,7 +695,7 @@ def test_absorb_keeps_a_pair_only_before_a_full_update_that_pays():
         state = SweepState([(0, 0)])
         state.sites[(0, 0)] = np.ones((1, 1, 1, 1, 2))
         state.absorb((0, 0), res[:, :shape[1]], first)
-        assert isinstance(state.sites[(0, 0)], approx._Pair) == pair
+        assert ((0, 0) in state.factored) == pair
 
 
 def test_first_full_update_on_a_pair_allocates_less_than_the_absorbed_site():
@@ -743,8 +744,8 @@ def test_sweep_values_with_pairs_match_the_absorbed_sites(cold_plans, monkeypatc
     factor, sweep = SweepState._factor, approx.sweep_contract_3d
 
     def recording(self, pos, ax):
-        if isinstance(self.sites[pos], approx._Pair):
-            pending.append(self.sites[pos].res.ndim - 2)
+        if pos in self.factored:
+            pending.append(self.factored[pos].res.ndim - 2)
         return factor(self, pos, ax)
 
     def valued(*args):
@@ -764,6 +765,58 @@ def test_sweep_values_with_pairs_match_the_absorbed_sites(cold_plans, monkeypatc
     for got, want in zip(swept, values):
         assert abs(got.mantissa * math.exp(got.log_scale - want.log_scale) - want.mantissa) \
             <= 1e-12 * abs(want.mantissa)
+
+
+def test_factored_entries_serve_one_update_and_none_outlives_a_snake_or_plane(
+        cold_plans, monkeypatch):
+    # every entry that snake or absorb puts in factored is taken out by the
+    # one _factor of its site's next update, before the snake or the sweep
+    # plane that made it ends
+    from tndecode import dem, harness
+
+    made, served = [], []
+
+    def registering(cls):
+        def make(*args):
+            made.append(cls(*args))
+            return made[-1]
+        return make
+
+    def serving(factor):
+        def spy(self, state, pos, ax):
+            _mat, w, dims = state._site_matrix(pos, ax)
+            assert pos not in state.factored and len(w) == math.prod(dims)
+            served.append(self)
+            return factor(self, state, pos, ax)
+        return spy
+
+    snake, run_plane = dem.CompressedCubicNetwork.snake, approx._Sweep.run_plane
+
+    def snaking(self, mech):
+        snake(self, mech)
+        assert not self.factored
+
+    def running(self, *args):
+        out = run_plane(self, *args)
+        assert not self.state.factored
+        return out
+
+    for module, cls in ((dem, dem._Fresh), (approx, approx._Pair)):
+        monkeypatch.setattr(module, cls.__name__, registering(cls))
+        monkeypatch.setattr(cls, "factor", serving(cls.factor))
+    monkeypatch.setattr(dem.CompressedCubicNetwork, "snake", snaking)
+    monkeypatch.setattr(approx._Sweep, "run_plane", running)
+    with open(os.path.join(DATA, "rotated_d3.dem")) as f:
+        state = dem.compress_dem(dem.parse_dem(f.read()), 4)
+    fresh = len(made)
+    state.truncate_all(4)
+    problem = harness.DemProblem(
+        state.model, network_builder=lambda mdl, m, ports: state.decoding_network(m, ports))
+    config = harness.ContractionConfig("sweep", chi_peps=4, chi_split=4, chi_mps=16)
+    for m in _distinct_shots(problem, 3, 5):
+        harness.decode(problem, m, config)
+    assert 0 < fresh < len(made)
+    assert sorted(map(id, served)) == sorted(map(id, made))
 
 
 def _pair_value(state, p1, p2, gate=None):

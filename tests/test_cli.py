@@ -90,6 +90,18 @@ def test_input_errors_exit_2(runner, tmp_path):
         assert res.exit_code == 2, (args, res.output)
 
 
+def test_signed_dem_targets_exit_2(runner, tmp_path):
+    # a signed index is an input error naming its line, not a traceback or a
+    # silently renumbered detector
+    for i, line in enumerate(["error(0.1) D0 L-1", "error(0.1) D0 D-1", "detector(0) D-3"]):
+        path = str(tmp_path / f"signed{i}.dem")
+        with open(path, "w") as f:
+            f.write(f"error(0.2) D0 D1 L0\n{line}\n")
+        res = runner.invoke(main, ["decode", "--dem", path, "--syndrome", "00"])
+        assert res.exit_code == 2, (line, res.output)
+        assert "line 2: malformed target" in res.output
+
+
 def test_out_of_range_chi_and_p_exit_2(runner, tmp_path):
     # a bond dimension below 1 is refused before anything runs, and a p
     # outside [0, 1] is an input error on every code, not a late failure

@@ -16,6 +16,7 @@ from tndecode.dem import (
     brute_force_class_probs,
     compress_dem,
     layout_detectors,
+    _Fresh,
     merge_mechanisms,
     parse_dem,
     serialize_dem,
@@ -71,6 +72,30 @@ def test_parse_errors():
         parse_dem("error(nope) D0\n")
     with pytest.raises(DemParseError):
         parse_dem("error(0.1) Q0\n")
+
+
+@pytest.mark.parametrize("line", [
+    "error(0.1) D0 D-1",  # read as detector 1 in check_matrix
+    "error(0.1) D0 L-1",  # an IndexError in logical_matrix
+    "detector(0, 0) D-3",  # dropped
+    "logical_observable L-1",
+    "error(0.1) D+1",
+    "error(0.1) D1x",
+    "error(0.1) D",
+    "detector(0, 0) L0",
+    "logical_observable D0",
+])
+def test_parse_accepts_only_unsigned_decimal_targets(line):
+    with pytest.raises(DemParseError, match=r"^line 2: malformed target"):
+        parse_dem("error(0.2) D0 L0\n" + line + "\n")
+
+
+def test_baseline_offsets_put_logical_0_most_significant():
+    model = DetectorErrorModel(n_detectors=4, n_logicals=3,
+                               baseline_flips=(0, 3), baseline_logicals=(0, 2))
+    assert model.syndrome_offset.tolist() == [1, 0, 0, 1]
+    assert model.syndrome_offset.dtype == np.uint8 and model.class_offset == 0b101
+    assert DetectorErrorModel(n_detectors=2).syndrome_offset.tolist() == [0, 0]
 
 
 def test_parse_serialize_round_trip():
@@ -425,9 +450,10 @@ def _along(v, ax, ndim):
                          ids=["touched", "untouched", "filler"])
 @pytest.mark.parametrize("chi", [None, 3])
 def test_fresh_site_truncation_matches_the_doubled_site(ax_in, ax_out, dd, flip, chi):
-    # p1 is an interior path site that snake left fresh: the truncation of
-    # its in-bond (p0, p1) must equal the default update of p1 written out
-    # doubled, up to the sign of each new bond index (the SVD's gauge)
+    # p1 is an interior path site that snake left fresh, its out-bond not
+    # yet doubled: the truncation of its in-bond (p0, p1) must equal the
+    # default update of p1 written out doubled, up to the sign of each new
+    # bond index (the SVD's gauge)
     rng = np.random.default_rng(62 + 7 * ax_in + ax_out + dd + 2 * bool(chi))
     p1 = (1, 1, 1)
     p0, p2 = (tuple(np.add(p1, STEP[ax])) for ax in (ax_in, ax_out))
@@ -446,22 +472,24 @@ def test_fresh_site_truncation_matches_the_doubled_site(ax_in, ax_out, dd, flip,
                 lam[CompressedCubicNetwork.bond(pos, tuple(np.add(pos, STEP[ax])))] = spread(n)
     bond = CompressedCubicNetwork.bond(p0, p1)
     lam[bond] = np.kron(rng.uniform(0.1, 1.0, dims1[ax_in]), np.ones(2))
-    lam[CompressedCubicNetwork.bond(p1, p2)] = np.kron(spread(dims1[ax_out]), np.ones(2))
-    held = [(a, a.tobytes()) for a in [S, A0, *lam.values()]]
+    out_bond, lam_out = CompressedCubicNetwork.bond(p1, p2), spread(dims1[ax_out])
+    held = [(a, a.tobytes()) for a in [S, A0, lam_out, *lam.values()]]
     states = []
     for fresh in (True, False):
         st = CompressedCubicNetwork(DetectorErrorModel(), (3, 3, 3), {}, chi)
         st.lam.update(lam)
         st.sites[p0] = A0
         if fresh:
+            st.lam[out_bond] = lam_out
             st.sites[p1] = S
-            st._fresh[p1] = (ax_in, ax_out, flip)
+            st.factored[p1] = _Fresh(ax_out, flip)
         else:
+            st.lam[out_bond] = np.kron(lam_out, np.ones(2))
             st.sites[p1] = _wire_by_tensordot(S, ax_in, ax_out, flip, (1.0, 1.0))
         st.truncate_bond(p0, p1)
         states.append(st)
     got, want = states
-    assert not got._fresh
+    assert not got.factored
     assert all(a.tobytes() == raw for a, raw in held)
     assert len(got.lam[bond]) == len(want.lam[bond]) <= (chi or 6)
     np.testing.assert_allclose(got.lam[bond], want.lam[bond], rtol=1e-12, atol=0)
@@ -477,13 +505,11 @@ def _whole_fresh_factor(state, pos, ax):
     """The reference for a fresh-site endpoint: the old site's matrix formed
     whole by one reshape, and one product per wire bit written into its
     half of the doubled out-bond."""
-    ax_in, ax_out, flip = state._fresh[pos]
-    lam_at = state._bond_weights(pos)
-    lam_at[ax_out] = lam_at[ax_out][::2]
+    ax_out, flip = state.factored[pos]
     A = state.sites[pos]
     rest = [i for i in range(A.ndim) if i not in (ax, 7)]
     mat = np.transpose(A, rest + [ax, 7]).reshape(-1, A.shape[ax])
-    _, w, dims = state._site_matrix(pos, ax, lam_at)
+    _, w, dims = state._site_matrix(pos, ax)
     dims = list(dims)
     j = ax_out - (ax_out > ax)
 
@@ -514,16 +540,16 @@ def test_fresh_site_factor_has_the_bits_of_the_whole_matrix(ax_in, ax_out, bonds
     for ax, n in enumerate(bonds):
         lam = rng.permutation(np.logspace(-12, 0, n))
         bond = state.bond(p1, tuple(np.add(p1, STEP[ax])))
-        state.lam[bond] = np.kron(lam, np.ones(2)) if ax == ax_out else lam
+        state.lam[bond] = lam  # the out-bond is doubled only after this update
     for layout in ("c", "projected"):
         S = rng.standard_normal(bonds + (dd,))
         if layout == "projected":  # the in-bond was the last one updated
             S = np.moveaxis(np.ascontiguousarray(np.moveaxis(S, ax_in, -1)), -1, ax_in)
         state.sites[p1] = S[..., None]
-        state._fresh[p1] = (ax_in, ax_out, flip)
+        state.factored[p1] = _Fresh(ax_out, flip)
         R0, project0 = _whole_fresh_factor(state, p1, ax_in)
         R, project = state._factor(p1, ax_in)
-        assert not state._fresh and np.array_equal(R, R0)
+        assert not state.factored and np.array_equal(R, R0)
         proj = rng.standard_normal((5, R.shape[1]))
         got, want = project(proj), project0(proj)
         assert np.array_equal(got, want) and got.strides == want.strides
@@ -540,7 +566,7 @@ def test_snake_keeps_held_arrays_and_leaves_no_fresh_site():
     held = [(a, a.tobytes()) for a in [*state.sites.values(), *state.lam.values()]]
     state.snake(merged.mechanisms[-1])
     assert all(a.tobytes() == raw for a, raw in held)
-    assert not state._fresh
+    assert not state.factored
 
 
 def test_snake_truncates_each_path_bond_once_its_ends_are_written(monkeypatch):

@@ -1,6 +1,7 @@
 """Campaign tools under tools/: the exact-ML table behind the smoke check,
 the resume check of the threshold campaigns and their count options."""
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -117,6 +118,26 @@ def test_value_digest_prints_one_digest_per_workload():
     lines = res.stdout.split("\n")[:-1]
     assert [line.split()[0] for line in lines] == [*WORKLOAD_LINES, "dem-d3-lattice"]
     assert all(len(line.split()[1]) == 64 for line in lines)
+
+
+def test_committed_quick_digests_reproduce():
+    # tools/value_digests.json holds the digests of the committed code; its
+    # --quick ones are recomputed wherever numpy, BLAS and the thread count
+    # are those that wrote it
+    from value_digest import RECORD, RECORDED, environment
+
+    with open(RECORD) as f:
+        record = json.load(f)
+    assert list(record["digests"]) == list(RECORDED)
+    if record["env"] != environment():
+        pytest.skip(f"digests recorded under {record['env']}, not {environment()}")
+    res = subprocess.run(
+        [sys.executable, os.path.join(TOOLS, "value_digest.py"), "--quick"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    got = dict(line.split(" ", 1) for line in res.stdout.splitlines())
+    assert got == record["digests"]["--quick"]
 
 
 def test_value_digest_covers_the_compressed_lattice():

@@ -7,6 +7,7 @@
     python3 tools/value_digest.py --decisions     # only the decided classes
     python3 tools/value_digest.py --cold          # an empty sweep memo for every decode
     python3 tools/value_digest.py --smoke 300     # the circuit-smoke shots' decisions
+    python3 tools/value_digest.py --record        # every setting of RECORDED, to RECORD
 
 For each workload of bench/workloads.py it decodes the first --shots shots
 of workloads.DEFAULT_SEED at the workload's timed chi and prints one line
@@ -26,11 +27,18 @@ instead, for each scaling of tools/run_circuit_smoke.py (its PARAMS: the
 same compression, chi and seed), one line "smoke-<scaling> <sha256>
 <failures>/N": the decision digest and the failure count of the first N
 shots, so two checkouts decide those shots alike when the lines agree.
-BLAS runs on one thread, as in the benchmark; the tool only reads bench/
-and tools/ and writes nothing.
+With --record it computes the digests of every setting in RECORDED and
+writes them to RECORD (tools/value_digests.json), with the numpy version,
+BLAS build and BLAS thread count that produced them (environment); a
+tier-1 test recomputes the --quick digests where that environment
+matches, so a change that moves a value shows as a diff of that file.
+BLAS runs on one thread, as in the benchmark, unless the environment
+says otherwise; the tool only reads bench/ and tools/ and writes nothing
+but RECORD.
 """
 import argparse
 import hashlib
+import json
 import os
 import sys
 
@@ -38,6 +46,21 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RECORD = os.path.join(ROOT, "tools", "value_digests.json")
+RECORDED = ("--quick", "--shots 6", "--shots 20", "--cold", "--decisions --shots 200",
+            "--smoke 300")
+
+
+def environment() -> dict:
+    """What the bits of a digest depend on besides the code: the numpy
+    version, the BLAS build and the number of BLAS threads."""
+    import numpy
+
+    blas = numpy.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"numpy": numpy.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas_config": blas.get("openblas configuration"),
+            "threads": os.environ["OPENBLAS_NUM_THREADS"]}
 
 
 def digest(harness, problem, config, shots: int, seed: int, decisions: bool,
@@ -86,6 +109,33 @@ def lattice_digest(state) -> str:
     return h.hexdigest()
 
 
+def lines(args):
+    """The tool's output lines for args, each as a tuple of fields."""
+    from tndecode import approx, dem, harness
+    from workloads import DEFAULT_SEED, WORKLOADS, _toy_dem_text, config
+
+    if args.smoke is not None:
+        sys.path.insert(0, os.path.join(ROOT, "tools"))
+        from run_circuit_smoke import PARAMS  # imports tndecode, already loaded from --src
+
+        for scale in PARAMS["scalings"]:
+            value, failures = smoke_digest(harness, dem, PARAMS, scale, args.smoke)
+            yield f"smoke-{scale}", value, f"{failures}/{args.smoke}"
+        return
+    for name, wl in WORKLOADS.items():
+        problem = wl.build(ROOT, args.quick)
+        yield name, digest(harness, problem, config(wl.chi), args.shots, DEFAULT_SEED,
+                           args.decisions, approx.clear_memo if args.cold else lambda: None)
+    if args.quick:  # the dem-d3 workload's model, as bench/workloads.py builds it
+        model = dem.parse_dem(_toy_dem_text())
+    else:
+        with open(os.path.join(ROOT, "tests", "data", "rotated_d3.dem")) as f:
+            model = dem.parse_dem(f.read()).scaled(0.5)
+    state = dem.compress_dem(model, 16)
+    state.truncate_all(8)
+    yield "dem-d3-lattice", lattice_digest(state)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true", help="tiny workload sizes")
@@ -96,35 +146,30 @@ def main() -> None:
     ap.add_argument("--shots", type=int, default=6, help="leading shots per workload")
     ap.add_argument("--smoke", type=int, metavar="N",
                     help="only the first N circuit-smoke shots at each scaling")
+    ap.add_argument("--record", action="store_true",
+                    help="write the digests of every recorded setting to " + RECORD)
     ap.add_argument("--src", default=os.path.join(ROOT, "src"),
                     help="directory holding the tndecode package")
     args = ap.parse_args()
     sys.dont_write_bytecode = True  # leave no __pycache__ under bench/
     sys.path[:0] = [os.path.abspath(args.src), os.path.join(ROOT, "bench")]
-    from tndecode import approx, dem, harness
-    from workloads import DEFAULT_SEED, WORKLOADS, _toy_dem_text, config
-
-    if args.smoke is not None:
-        sys.path.insert(0, os.path.join(ROOT, "tools"))
-        from run_circuit_smoke import PARAMS  # imports tndecode, already loaded from --src
-
-        for scale in PARAMS["scalings"]:
-            value, failures = smoke_digest(harness, dem, PARAMS, scale, args.smoke)
-            print(f"smoke-{scale}", value, f"{failures}/{args.smoke}", flush=True)
+    if not args.record:
+        for fields in lines(args):
+            print(*fields, flush=True)
         return
-    for name, wl in WORKLOADS.items():
-        problem = wl.build(ROOT, args.quick)
-        print(name, digest(harness, problem, config(wl.chi), args.shots, DEFAULT_SEED,
-                           args.decisions, approx.clear_memo if args.cold else lambda: None),
-              flush=True)
-    if args.quick:  # the dem-d3 workload's model, as bench/workloads.py builds it
-        model = dem.parse_dem(_toy_dem_text())
-    else:
-        with open(os.path.join(ROOT, "tests", "data", "rotated_d3.dem")) as f:
-            model = dem.parse_dem(f.read()).scaled(0.5)
-    state = dem.compress_dem(model, 16)
-    state.truncate_all(8)
-    print("dem-d3-lattice", lattice_digest(state), flush=True)
+    from tndecode.approx import clear_memo
+
+    record = {"env": environment(), "digests": {}}
+    for setting in RECORDED:
+        clear_memo()  # each setting as a process of its own computes it
+        out = record["digests"][setting] = {}
+        for name, *rest in lines(ap.parse_args(setting.split())):
+            out[name] = " ".join(rest)
+            print(setting, name, *rest, flush=True)
+    with open(RECORD, "w") as f:
+        json.dump(record, f, indent=1)
+        f.write("\n")
+
 
 if __name__ == "__main__":
     main()
