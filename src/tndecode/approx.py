@@ -24,11 +24,12 @@ truncation (per-bond Vidal-gauge lambda vectors); the final 2D network is
 handed to the boundary MPS.  A plane of 2-leg vertical tensors is an
 ordinary plane whose residuals are matrices and which has no gates.
 A carrier site is never formed with all its in-plane legs pending when
-its first gate is a full simple update and its residual has more rows
-than vertical x consumed leg: until that update it is held as the pair
-of the site and the residual, and the update reads its R from three
-small QRs of the factors (SweepState.absorb, _Pair.factor).  Every
-other site absorbs its residual whole.  The pair is an entry of the
+its first gate but fast-path ones is a full simple update and its
+residual has more rows than vertical x consumed leg: until that update
+it is held as the pair of the site and the residual, on which those
+fast-path gates act, and the update reads its R from three small QRs of
+the factors (SweepState.absorb, _Pair).  Every other site absorbs its
+residual whole.  The pair is an entry of the
 state's factored map, the one place where the simple update, shared
 with the DEM compressor, reads a site whose array is not formed.
 
@@ -266,8 +267,10 @@ def _tsqr_r(M: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     weighted matrix is formed whole.  A block holds the numbers of the
     same block of M * w[:, None] formed whole, so R has the same bits.  R
     is that of a flat QR up to the signs of its rows, so
-    R^T R = M^T diag(w)^2 M."""
+    R^T R = M^T diag(w)^2 M.  A w not of M's row count raises ValueError."""
     rows, cols = _matrix_shape(M)
+    if w is not None and len(w) != rows:
+        raise ValueError(f"{len(w)} row weights for a matrix of {rows} rows")
     block = _block(cols)
 
     def r(i):
@@ -830,11 +833,12 @@ class LatticeState:
         self.sites[pos], log_factor = pow2_normalize(self.sites[pos], inplace=True)
         self.add_log(log_factor)
 
-    def _site_matrix(self, pos, ax):
+    def _site_matrix(self, pos, ax, lam=None):
         """The site at pos read as the matrix (other axes) x (bond at ax,
         gate leg), the weights of its other nontrivial bonds as one row
         scaling (the outer product of their weights in the rows' C order;
-        other axes weigh 1), and the dimensions of the other axes.  A
+        other axes weigh 1; lam, by axis, overrides the bonds' weights),
+        and the dimensions of the other axes.  A
         matrix of one chunk (under two blocks, see _row_chunks) is formed
         whole, a copy only where the array's layout needs one.  A larger
         one is a view of the stored array, never formed whole: 2D where the
@@ -842,7 +846,7 @@ class LatticeState:
         last (see _copy_rows)."""
         A = self.sites[pos]
         rest = [i for i in range(A.ndim) if i not in (ax, self.GATE_AXIS)]
-        lam = {nax: self.get_lam(pos, npos) for npos, nax in self.neighbors(pos)}
+        lam = {nax: self.get_lam(pos, npos) for npos, nax in self.neighbors(pos)} | (lam or {})
         w = np.ones(1)
         for i in rest:
             if len(lam.get(i, ())) > 1:
@@ -900,9 +904,9 @@ class LatticeState:
         of rows.  R enters only as R^T R and through the core, whose SVD
         moves with any orthogonal change of R's rows, so the entry of a
         site in factored may give the R of any matrix with the Gram of W A
-        (a carrier pair's from its factors, a fresh compressor site's from
-        the old site).  The stored site arrays are only read; the new sites
-        are fresh arrays."""
+        (a carrier pair's from its factors, between which fast-path gates
+        split its bonds; a fresh compressor site's from the old site).  The
+        stored site arrays are only read; the new sites are fresh arrays."""
         ax1, ax2 = self.bond_axes(p1, p2)
         (R1, project1), (R2, project2) = self._factor(p1, ax1), self._factor(p2, ax2)
         lam = self.get_lam(p1, p2)
@@ -973,8 +977,9 @@ class SweepState(LatticeState):
     Site arrays have axes (left, right, down, up, vert, g...); left/right
     step the first grid coordinate, down/up the second, and the gate legs
     still to be consumed follow the vertical leg.  Between absorbing a
-    residual and its first gate, a site may instead be held as a pair of
-    its factors (absorb), which only that gate, a full update, reads.
+    residual and its first full update, a site may instead be held as a
+    pair of its factors (absorb), which only that update and the fast-path
+    gates before it read.
     """
 
     AXIS = {(-1, 0): 0, (1, 0): 1, (0, -1): 2, (0, 1): 3}
@@ -986,20 +991,19 @@ class SweepState(LatticeState):
     def absorb(self, pos, res, first=None):
         """Contract a residual res (vert, up, g_1, ..., g_k) into the
         vertical leg of the site at pos.  first is the place among g_1..g_k
-        of the leg that the site's first gate consumes when that gate is a
-        full simple update, else None.  Such a site whose residual
-        _keeps_pair is held as a pair instead of the product: the site S
-        stays in sites, viewed with a unit axis in the vertical leg's place
-        and the vertical leg in the gate leg's, and factored holds
-        _Pair(Res), Res the residual with that leg moved last and scaled
-        into pow2_normalize's window, whose factor is the log factor of the
-        absorption.  The pair lives until that update, whose _factor takes
-        it out; no other operation reads the site before it."""
+        of the leg that the site's first full simple update consumes when
+        only fast-path gates come before it, else None.  Such a site whose
+        residual _keeps_pair is held as a pair instead of the product: the
+        site S stays in sites, viewed with a unit axis in the vertical
+        leg's place and the vertical leg in the gate leg's, and factored
+        holds _Pair(Res), Res scaled into pow2_normalize's window, whose
+        factor is the log factor of the absorption.  The pair lives until
+        that update, whose _factor takes it out; before it only the site's
+        fast-path gates read it (apply_bond_gate)."""
         S = self.sites[pos]
-        if first is not None and _keeps_pair(moved := np.moveaxis(res, 2 + first, -1)):
-            moved, log_factor = pow2_normalize(moved)
-            self.sites[pos] = S[..., None, :]
-            self.factored[pos] = _Pair(moved)
+        if first is not None and _keeps_pair(np.moveaxis(res, 2 + first, -1)):
+            res, log_factor = pow2_normalize(res)
+            self.factored[pos], self.sites[pos] = _Pair(res), S[..., None, :]
             self.add_log(log_factor)
             return
         self.sites[pos] = np.tensordot(S, res, axes=([4], [0]))
@@ -1013,7 +1017,8 @@ class SweepState(LatticeState):
 
     def apply_bond_gate(self, p1, p2, gate: BondGate, chi):
         """Contract a two-site gate whose legs sit at axis 5 of both site
-        arrays, merging it into the shared lattice bond (capped at chi).
+        arrays (at axis 2 of a pair's residual), merging it into the shared
+        lattice bond (capped at chi).
 
         When the merged bond still fits under chi, the gate is absorbed
         exactly through its SVD factors with no lattice-bond
@@ -1027,67 +1032,95 @@ class SweepState(LatticeState):
         if self.full_update(len(lam_b), gate, chi):
             self.simple_update(p1, p2, gate.mat, chi)
             return
-        B1 = np.tensordot(self.sites[p1], gate.u, axes=([5], [0]))
-        B2 = np.tensordot(self.sites[p2], gate.vt.T, axes=([5], [0]))
-        for pos, B, ax in ((p1, B1, ax1), (p2, B2, ax2)):
-            B = np.moveaxis(B, -1, ax + 1)
-            sh = list(B.shape)
-            sh[ax] *= sh[ax + 1]
-            del sh[ax + 1]
-            self.sites[pos] = B.reshape(sh)
         new_lam = np.kron(lam_b, gate.s)
         f = float(np.max(new_lam))
         self.lam[self.bond(p1, p2)] = new_lam / f
         self.add_log(math.log(f))
-        self.rescale(p1)
-        self.rescale(p2)
+        for pos, half, ax in ((p1, gate.u, ax1), (p2, gate.vt.T, ax2)):
+            pair = self.factored.get(pos)
+            if pair is not None:  # half turns res's first pending leg into a bond part
+                res = np.tensordot(pair.res, half, axes=([2], [0]))
+                pair.res, log_factor = pow2_normalize(res, inplace=True)
+                pair.lam.setdefault(ax, lam_b)
+                pair.parts += ((ax, gate.s / f),)
+                self.add_log(log_factor)
+                continue
+            B = np.moveaxis(np.tensordot(self.sites[pos], half, axes=([5], [0])), -1, ax + 1)
+            sh = list(B.shape)
+            sh[ax] *= sh[ax + 1]
+            del sh[ax + 1]
+            self.sites[pos] = B.reshape(sh)
+            self.rescale(pos)
 
 
-class _Pair(NamedTuple):
-    """The residual of a carrier site held as a pair (see SweepState.absorb):
-    Res (vert, up, other gate legs, the gate leg its first update
-    consumes), which the site S in sites still has to absorb."""
+@dataclass
+class _Pair:
+    """A carrier site held as a pair (see SweepState.absorb): the site S in
+    sites and res, the residual S has still to absorb, (vert, up, pending
+    gate legs, bond parts).  A fast-path gate leaves S as it is and adds
+    its part of the merged bond, whose index is (S's, the parts') in C
+    order and whose weights are the outer product of S's, which lam holds
+    by axis, and the parts'; parts holds the bond axis and the weights of
+    each."""
 
     res: np.ndarray
+    lam: dict = field(default_factory=dict)
+    parts: tuple = ()
 
     def factor(self, state, pos, ax):
         """The simple-update endpoint of the site at pos from its factors.
 
-        The site matrix is M[(o, r), (b, g)] = sum_v S[o, b, v] Res[v, r, g],
-        o the other bonds, b the bond at ax, v the vertical leg, r the
-        residual's other legs and g the consumed leg.  With W_o the weights
-        of the other bonds, take W_o S[o, (b, v)] = Q_S R_S, S read by the
-        kernel's _site_matrix with v in the gate leg's place, and
-        Res[r, (v, g)] = Q_r R_r; then W_o M = (Q_S (x) Q_r) T with
-        T[(i, j), (b, g)] = sum_v R_S[i, (b, v)] R_r[j, (v, g)], and Q_S (x)
-        Q_r has orthonormal columns, so the R of T has R^T R = M^T W_o^2 M,
-        which is all the simple update reads of an R.  project forms the
-        new site as S[o, (b, v)] times Res contracted with the projector
-        over g, in the default's layout.  Neither forms M."""
-        res = self.res
-        S_mat, w, dims = state._site_matrix(pos, ax)
-        S = state.sites[pos]
-        b, v, g = S.shape[ax], S.shape[state.GATE_AXIS], res.shape[-1]
+        The site matrix is M[(o, r), (b, c)] = sum_v S[o, b, v] Res[v, r, c]:
+        o the other axes of S, b its part of the bond at ax, v the vertical
+        leg, c that bond's parts in res and the consumed leg, r res's other
+        legs.  With W_o, W_r the weights of o and r, take W_o S[o, (b, v)]
+        = Q_S R_S (S read by the kernel's _site_matrix, v in the gate leg's
+        place) and W_r Res[r, (v, c)] = Q_r R_r; then W_o W_r M = (Q_S (x)
+        Q_r) T, T[(i, j), (b, c)] = sum_v R_S[i, (b, v)] R_r[j, (v, c)], and
+        Q_S (x) Q_r has orthonormal columns, so the R of T has the Gram of
+        W_o W_r M, all that the simple update reads of an R.  project forms
+        the new site as S[o, (b, v)] times Res contracted with the projector
+        over c, each other bond's parts merged into its axis, in the
+        default's layout.  Neither forms M."""
+        res, n = self.res, self.res.ndim - len(self.parts)  # n: res's axes before its parts
+        S_mat, w, dims = state._site_matrix(pos, ax, self.lam)
+        v = res.shape[0]
+        cols = [0] + [n + j for j, (a, _w) in enumerate(self.parts) if a == ax] + [2]
+        rows = [i for i in range(1, res.ndim) if i not in cols]
+        w_r = np.ones(())
+        for i in rows:
+            w_r = np.multiply.outer(w_r, self.parts[i - n][1] if i >= n else np.ones(res.shape[i]))
+        res = res.transpose(rows + cols).reshape(w_r.size, v, -1)
+        b, c = state.sites[pos].shape[ax], res.shape[-1]
         R_S = _tsqr_r(S_mat, w).reshape(-1, b, v)
-        R_r = _tsqr_r(np.moveaxis(res, 0, -2).reshape(-1, v * g)).reshape(-1, v, g)
+        R_r = _tsqr_r(res.reshape(w_r.size, -1), w_r.ravel()).reshape(-1, v, c)
         T = np.tensordot(R_S, R_r, axes=([2], [1])).transpose(0, 2, 1, 3)
-        dims = dims[:-1] + res.shape[1:-1]  # the unit axis in place of vert goes
+        # the new site's axes: each bond, S's part (the new bond at ax) then
+        # its parts in res, and then up and the pending legs
+        bonds = len(state.AXIS)
+        groups = [[a - (a > ax) if a != ax else -1]
+                  + [bonds - 1 + rows.index(n + j)
+                     for j, (pa, _w) in enumerate(self.parts) if pa == a != ax]
+                  for a in range(bonds)] + [[bonds - 1 + t] for t, i in enumerate(rows) if i < n]
 
         def project(proj):
             k = len(proj)
-            X = np.tensordot(proj.reshape(k, b, g), res, axes=([2], [-1]))  # (k, b, v, r)
-            X = np.moveaxis(X, 0, -1).reshape(b * v, -1)
-            return np.moveaxis(_project(S_mat, X.T).reshape(dims + (k,)), -1, ax)
+            X = np.tensordot(proj.reshape(k, b, c), res, axes=([2], [2]))  # (k, b, r, v)
+            out = _project(S_mat, X.transpose(2, 0, 1, 3).reshape(-1, b * v))
+            out = out.reshape(dims[:-1] + w_r.shape + (k,))  # the unit axis in place of vert goes
+            shape = [math.prod(out.shape[i] for i in grp) for grp in groups]
+            return out.transpose([i % out.ndim for grp in groups for i in grp]).reshape(shape)
 
-        return _tsqr_r(T.reshape(-1, b * g)), project
+        return _tsqr_r(T.reshape(-1, b * c)), project
 
 
 def _keeps_pair(res: np.ndarray) -> bool:
-    """Whether a site whose first gate is a full update keeps the pair of
-    itself and the residual res (vert first, the consumed leg last) rather
-    than their product: when the residual has more rows (its other legs)
-    than vert x consumed leg, its QR shrinks it, and the update factors a
-    matrix at least that many times smaller than the product's."""
+    """Whether a site whose first gate but fast-path ones is a full update
+    keeps the pair of itself and the residual res (vert first, the leg that
+    update consumes last) rather than their product: when the residual has
+    more rows (its other legs, or the bond parts they become) than vert x
+    consumed leg, its QR shrinks it, and the update factors a matrix at
+    least that many times smaller than the product's."""
     return math.prod(res.shape[1:-1]) > res.shape[0] * res.shape[-1]
 
 
@@ -1268,10 +1301,14 @@ class _Sweep:
                         for b, entry in held_bonds.items() if entry is not None}
         site_terms = {pos: [] for pos in dirty}
         bond_terms, bond_cuts, terms, cuts = {}, {}, [], []
-        first = {}  # site -> place of the leg its first gate consumes if a full update
+        # site -> the leg (of g_1..g_k) that its first full update consumes,
+        # if only fast-path gates come before it
+        first, legs = {}, {pos: list(range(len(s.shape) - 2)) for pos, s in plane.sites.items()}
         for g, f in zip(plane.gates, full):
             for pos, ax in zip((g.p1, g.p2), g.axes):
-                first.setdefault(pos, ax if f else None)
+                leg = legs[pos].pop(ax)
+                if f is not False:
+                    first.setdefault(pos, leg if f else None)
         for pos, site in plane.sites.items():
             if pos in dirty:
                 arr = splits[site.tid][0] if site.dense else residuals[site.tid]
@@ -1293,7 +1330,10 @@ class _Sweep:
             for pos, ax, dim in zip(ends, g.axes, (len(gate.u), gate.vt.shape[1])):
                 if pos not in dirty:
                     state.sites[pos] = np.ones((1, 1, 1, 1, 1, dim))
-                elif ax and pos not in state.factored:  # a pair has it last
+                elif ax and pos in state.factored:  # the leg goes first: to a pair's axis 2
+                    pair = state.factored[pos]
+                    pair.res = np.moveaxis(pair.res, 2 + ax, 2)
+                elif ax:  # or to GATE_AXIS
                     state.sites[pos] = np.moveaxis(state.sites[pos], 5 + ax, 5)
             state.truncation_cut = 0.0  # and so it stays on the fast path
             state.apply_bond_gate(g.p1, g.p2, gate, chi)

@@ -531,6 +531,17 @@ def test_tsqr_r_weights_rows_bit_for_bit(monkeypatch, m, block):
     assert np.array_equal(approx._tsqr_r(M, w), approx._tsqr_r(M * w[:, None]))
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_tsqr_r_rejects_row_weights_of_another_length(extra):
+    # a weight vector of a grown bond read against its factor's axis would
+    # otherwise weigh the wrong rows without an error
+    rng = np.random.default_rng(53)
+    for M in (rng.standard_normal((40, 3)), rng.standard_normal((2, 5, 4, 3, 2))):
+        rows = approx._matrix_shape(M)[0]
+        with pytest.raises(ValueError, match="row weights"):
+            approx._tsqr_r(M, np.ones(rows + extra))
+
+
 # Rows of a site matrix read straight from the stored array: below one
 # block, one block, one past a block, a short last block under an odd
 # leading axis, and a tail of under 128 rows that joins the chunk before it
@@ -642,6 +653,15 @@ def test_simple_update_forms_no_whole_site_matrix():
     assert peak <= new + 6 * block_bytes, (peak, new, block_bytes)
 
 
+def _pend(state, pos, place):
+    """Move the site's pending gate leg at place first, as run_plane does
+    before a gate: to GATE_AXIS, or to axis 2 of a pair's residual."""
+    if pos in state.factored:
+        state.factored[pos].res = np.moveaxis(state.factored[pos].res, 2 + place, 2)
+    else:
+        state.sites[pos] = np.moveaxis(state.sites[pos], 5 + place, 5)
+
+
 def _pair_and_whole(rng, ax, res_shape, first):
     """A SweepState site at (1, 1) that absorbs a residual of res_shape as a
     pair, its first gate consuming leg first, and a state holding the same
@@ -662,7 +682,9 @@ def _pair_and_whole(rng, ax, res_shape, first):
         state.sites[pos] = S
     pair, whole = states
     pair.absorb(pos, res, first)
-    whole.sites[pos] = np.moveaxis(np.tensordot(S, res, axes=([4], [0])), 5 + first, 5)
+    _pend(pair, pos, first)
+    whole.sites[pos] = np.tensordot(S, res, axes=([4], [0]))
+    _pend(whole, pos, first)
     return pair, whole, pos
 
 
@@ -725,6 +747,112 @@ def test_first_full_update_on_a_pair_allocates_less_than_the_absorbed_site():
     assert peak < absorbed / 4, (peak, absorbed)
 
 
+def _fast_then_full(same, partner, paired):
+    """A SweepState in which site a = (1, 1) absorbs a residual with legs
+    (3, 3, 4) and runs a fast-path gate on its leg 1, then a full update
+    with b = (2, 1) on its leg 2, as run_plane runs them, at chi 6.  The
+    fast gate grows the bond to b (same) or to c = (1, 2), whose end is a
+    clean stand-in.  b is a whole site or absorbs a residual; with same,
+    its first gate is the fast one.  paired passes absorb each first full
+    update's leg, else None (the site is absorbed whole).  Returns the
+    state and the gates as (p1, p2, places, gate), the full update last;
+    before it, every other gate has run."""
+    rng = np.random.default_rng(64 + 2 * same + (partner == "pair"))
+    a, b, c = (1, 1), (2, 1), (1, 2)
+    state = SweepState([a, b, c])
+    for pos, shape in ((a, (3, 2, 2, 2, 2)), (b, (2, 2, 2, 1, 2))):
+        for npos, nax in state.neighbors(pos):
+            if shape[nax] > 1:
+                state.lam[state.bond(pos, npos)] = _spread(rng, shape[nax])
+        state.sites[pos] = rng.standard_normal(shape)
+    b_legs = (3, 4, 2) if same else (4, 2)
+    if partner == "whole":
+        state.sites[b] = rng.standard_normal(state.sites[b].shape + b_legs)
+    fast = BondGate.of(rng.standard_normal((3, 3)))
+    gates = [(a, b if same else c, (1, 0), fast),
+             (a, b, (1, 0), BondGate.of(rng.standard_normal((4, 4))))]
+    state.absorb(a, rng.uniform(-1.0, 1.0, (2, 3, 2, 3, 4)), 2 if paired else None)
+    if partner == "pair":
+        state.absorb(b, rng.uniform(-1.0, 1.0, (2, 5) + b_legs), int(same) if paired else None)
+    for p1, p2, places, gate in gates[:-1]:
+        for pos, place in zip((p1, p2), places):
+            if pos == c:
+                state.sites[c] = np.ones((1, 1, 1, 1, 1, gate.vt.shape[1]))
+            else:
+                _pend(state, pos, place)
+        state.apply_bond_gate(p1, p2, gate, chi=6)
+    _pend(state, a, 1)
+    return state, gates
+
+
+def _normalized(x):
+    return x / np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("partner", ["whole", "pair"])
+@pytest.mark.parametrize("same", [False, True], ids=["other_bond", "same_bond"])
+def test_pair_through_fast_gates_gives_the_whole_site_update(same, partner):
+    # a pair carried through a fast-path gate, on another bond (a clean
+    # stand-in partner) or on the bond its full update then truncates: its
+    # endpoint has the absorbed site's R^T R and projection, and the update
+    # gives the whole sites' bond weights and value
+    rng = np.random.default_rng(65)
+    a, b = (1, 1), (2, 1)
+    pairs = {a} | ({b} if partner == "pair" else set())
+    for pos, ax in ((a, 1), (b, 0)):
+        paired, _ = _fast_then_full(same, partner, True)
+        whole, _ = _fast_then_full(same, partner, False)
+        assert set(paired.factored) == pairs and not whole.factored
+        assert all(bool(paired.factored[p].parts) == (p == a or same) for p in pairs)
+        (R, project), (R0, project0) = paired._factor(pos, ax), whole._factor(pos, ax)
+        assert pos not in paired.factored
+        gram, gram0 = _normalized(R.T @ R), _normalized(R0.T @ R0)
+        assert np.max(np.abs(gram - gram0)) <= 1e-12
+        proj = rng.standard_normal((5, R0.shape[1]))
+        got, want = project(proj), project0(proj)
+        assert got.shape == want.shape
+        assert np.max(np.abs(_normalized(got) - _normalized(want))) <= 1e-12
+    (paired, gates), (whole, _) = (_fast_then_full(same, partner, flag) for flag in (True, False))
+    p1, p2, _places, gate = gates[-1]
+    for state in (paired, whole):
+        state.apply_bond_gate(p1, p2, gate, chi=6)
+    assert not paired.factored and paired.lam.keys() == whole.lam.keys()
+    for key, lam in whole.lam.items():
+        assert paired.lam[key].shape == lam.shape
+        assert np.max(np.abs(paired.lam[key] - lam)) <= 1e-12
+    got, want = _pair_value(paired, a, b), _pair_value(whole, a, b)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_fast_path_first_pair_allocates_less_than_the_absorbed_site():
+    # the site would be (1, 8, 8, 8, 4, 8, 8, 8), 8 MiB, absorbed whole, and
+    # as large after its fast-path gate grows the bond to (0, 0)
+    import tracemalloc
+
+    rng = np.random.default_rng(66)
+    a, b, c = (1, 0), (2, 0), (0, 0)
+    state = SweepState([a, b, c])
+    state.sites[a] = rng.standard_normal((1, 8, 8, 8, 4))
+    state.sites[b] = rng.standard_normal((8, 4, 4, 1, 1, 8))
+    for npos in ((1, -1), (1, 1), b):
+        state.lam[state.bond(a, npos)] = _spread(rng, 8)
+    res = rng.standard_normal((4, 4, 8, 8, 8))
+    absorbed = 8 ** 3 * res[0].nbytes
+    fast, full = (BondGate.of(rng.standard_normal((8, 8))) for _ in range(2))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        state.absorb(a, res, first=1)
+        state.sites[c] = np.ones((1, 1, 1, 1, 1, 8))
+        state.apply_bond_gate(c, a, fast, chi=8)
+        state.apply_bond_gate(a, b, full, chi=8)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert not state.factored and state.sites[a].shape == (8, 8, 8, 8, 4, 8)
+    assert peak < absorbed / 2, (peak, absorbed)
+
+
 def test_sweep_values_with_pairs_match_the_absorbed_sites(cold_plans, monkeypatch):
     # a compressed d=3 circuit DEM at small chi, whose first full updates
     # meet sites with up to four pending gate legs: warm and cold memo give
@@ -771,7 +899,9 @@ def test_factored_entries_serve_one_update_and_none_outlives_a_snake_or_plane(
         cold_plans, monkeypatch):
     # every entry that snake or absorb puts in factored is taken out by the
     # one _factor of its site's next update, before the snake or the sweep
-    # plane that made it ends
+    # plane that made it ends, pairs carried through fast-path gates among
+    # them; the row weights that each factor reads fit it (_tsqr_r checks
+    # the residual's)
     from tndecode import dem, harness
 
     made, served = [], []
@@ -784,7 +914,7 @@ def test_factored_entries_serve_one_update_and_none_outlives_a_snake_or_plane(
 
     def serving(factor):
         def spy(self, state, pos, ax):
-            _mat, w, dims = state._site_matrix(pos, ax)
+            _mat, w, dims = state._site_matrix(pos, ax, getattr(self, "lam", None))
             assert pos not in state.factored and len(w) == math.prod(dims)
             served.append(self)
             return factor(self, state, pos, ax)
@@ -816,6 +946,7 @@ def test_factored_entries_serve_one_update_and_none_outlives_a_snake_or_plane(
     for m in _distinct_shots(problem, 3, 5):
         harness.decode(problem, m, config)
     assert 0 < fresh < len(made)
+    assert any(getattr(entry, "parts", ()) for entry in served)
     assert sorted(map(id, served)) == sorted(map(id, made))
 
 
