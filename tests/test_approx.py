@@ -739,6 +739,7 @@ def test_first_full_update_on_a_pair_allocates_less_than_the_absorbed_site():
     try:
         before = tracemalloc.get_traced_memory()[0]
         state.absorb(a, res, first=1)
+        _pend(state, a, 1)
         state.apply_bond_gate(a, b, gate, chi=8)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
