@@ -1303,10 +1303,9 @@ class _Sweep:
         bond_terms, bond_cuts, terms, cuts = {}, {}, [], []
         # site -> the leg (of g_1..g_k) that its first full update consumes,
         # if only fast-path gates come before it
-        first, legs = {}, {pos: list(range(len(s.shape) - 2)) for pos, s in plane.sites.items()}
+        first = {}
         for g, f in zip(plane.gates, full):
-            for pos, ax in zip((g.p1, g.p2), g.axes):
-                leg = legs[pos].pop(ax)
+            for pos, (_tid, leg) in zip((g.p1, g.p2), g.ends):
                 if f is not False:
                     first.setdefault(pos, leg if f else None)
         for pos, site in plane.sites.items():
