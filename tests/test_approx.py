@@ -481,18 +481,19 @@ def _rank_deficient(rng, m, n, rank):
 
 def _with_zero_rows(rng, m, n):
     M = rng.standard_normal((m, n))
-    M[1024:3072] = 0.0  # two whole blocks
+    M[approx.TSQR_BLOCK:3 * approx.TSQR_BLOCK] = 0.0  # two whole blocks
     M[rng.choice(m, size=50, replace=False)] = 0.0
     return M
 
 
 @pytest.mark.parametrize("make", [
-    lambda rng: rng.standard_normal((40000, 64)),  # three passes of blocks
-    lambda rng: rng.standard_normal((5 * 1024 + 37, 16)),  # short last block
+    # three passes of blocks: 33 blocks leave 33 x 64 rows, over one block
+    lambda rng: rng.standard_normal((33 * approx.TSQR_BLOCK, 64)),
+    lambda rng: rng.standard_normal((5 * approx.TSQR_BLOCK + 37, 16)),  # short last block
     lambda rng: _rank_deficient(rng, 3000, 24, 5),
-    lambda rng: _with_zero_rows(rng, 4000, 16),
+    lambda rng: _with_zero_rows(rng, 4 * approx.TSQR_BLOCK - 96, 16),
     lambda rng: rng.standard_normal((10, 30)),  # wide: one flat QR
-    lambda rng: rng.standard_normal((1024, 16)),  # exactly one block
+    lambda rng: rng.standard_normal((approx.TSQR_BLOCK, 16)),  # exactly one block
 ], ids=["tall", "short_last_block", "rank_deficient", "zero_rows", "wide", "one_block"])
 def test_tsqr_r_matches_flat_qr(svd_calls, make):
     M = make(np.random.default_rng(51))
@@ -519,6 +520,7 @@ def test_tsqr_r_terminates_when_columns_exceed_half_a_block(monkeypatch):
 
 @pytest.mark.parametrize("m, block", [
     (1023, None), (1024, None), (1025, None), (2048, None), (2049, None),
+    (4095, None), (4096, None), (4097, None),
     (5 * 1024 + 37, None), (40000, None), (500, 8),  # 500 rows, 12-row blocks
 ])
 def test_tsqr_r_weights_rows_bit_for_bit(monkeypatch, m, block):
@@ -542,13 +544,49 @@ def test_tsqr_r_rejects_row_weights_of_another_length(extra):
             approx._tsqr_r(M, np.ones(rows + extra))
 
 
-# Rows of a site matrix read straight from the stored array: below one
-# block, one block, one past a block, a short last block under an odd
-# leading axis, and a tail of under 128 rows that joins the chunk before it
+def _graded_rows(rng, m, n):
+    return rng.standard_normal((m, n)) * rng.permutation(np.logspace(-12, 0, m))[:, None]
+
+
+# shapes with min(m, n) below, at and above QR_NB, wide ones among them
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (3, 5), (5, 3), (8, 8),
+                                   (9, 40), (40, 9), (300, 64), (64, 300)])
+@pytest.mark.parametrize("make", [
+    lambda rng, m, n: rng.standard_normal((m, n)),
+    lambda rng, m, n: rng.standard_normal((m, n)) * (np.arange(m) % 3 > 0)[:, None],
+    lambda rng, m, n: _rank_deficient(rng, m, n, 1 + min(m, n) // 3),
+    _graded_rows,
+], ids=["gaussian", "zero_rows", "rank_deficient", "graded"])
+def test_qr_r_mode_gives_an_r_of_the_gram(shape, make):
+    # geqrt's column block stays within 1 <= nb <= min(m, n) on every shape
+    # (scipy raises otherwise), and R^T R is the Gram matrix to backward-
+    # stable accuracy however the rows are scaled
+    m, n = shape
+    M = make(np.random.default_rng(m * 1000 + n), m, n)
+    held = M.copy()
+    R = approx._qr(M, "r")
+    assert np.array_equal(M, held)  # a C-ordered input is copied, not factored in place
+    assert R.shape == (min(m, n), n) and np.array_equal(R, np.triu(R))
+    gram = M.T @ M
+    assert np.linalg.norm(R.T @ R - gram) <= 1e-12 * np.linalg.norm(gram)
+    F = np.asfortranarray(M)
+    assert np.array_equal(approx._qr(F, "r", overwrite=True), R)
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+def test_qr_r_mode_of_an_empty_matrix(shape):
+    R = approx._qr(np.zeros(shape), "r")
+    assert R.shape == (min(shape), shape[1])
+
+
+# Rows of a site matrix read straight from the stored array, against
+# blocks of 2048 rows (TSQR_BLOCK): below one block, one block, just past a
+# block, a short last block under an odd leading axis, and a tail of under
+# 128 rows that joins the chunk before it
 ROW_DIMS = {
     "below_a_block": (10, 4, 25),
-    "one_block": (8, 2, 64),
-    "one_past_a_block": (5, 5, 41),
+    "one_block": (16, 2, 64),
+    "one_past_a_block": (3, 683),
     "short_last_block": (15, 4, 2, 43),
     "tail_under_128": (12, 179),
 }
