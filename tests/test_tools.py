@@ -2,6 +2,7 @@
 the resume check of the threshold campaigns and their count options."""
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -174,6 +175,27 @@ def test_value_digest_cold_memo_prints_the_warm_digests():
          *extra], capture_output=True, text=True, timeout=300) for extra in ((), ("--cold",))]
     assert all(res.returncode == 0 for res in runs), [res.stderr for res in runs]
     assert len(runs[0].stdout.split("\n")) == 5 and runs[0].stdout == runs[1].stdout
+
+
+def test_value_digest_drift_covers_the_classes_near_the_top():
+    # a class within e^-NEAR of its shot's top class counts, one further
+    # below does not; a value split into another mantissa and exponent has
+    # not moved; a package against itself moves nothing
+    from value_digest import NEAR, drift
+
+    old = [[(1.5, 0.0), (1.25, -NEAR - 1.0), (1.75, -3.0)], [(1.0, -2.0), (1.5, -1.0)]]
+    new = [[(1.5 * (1 + 1e-14), 0.0), (1.0, -NEAR - 1.0), (1.75 * (1 + 1e-9), -3.0)],
+           [(1.0, -2.0), (0.75, math.log(2.0) - 1.0)]]
+    top, near = drift(new, old)
+    assert top == pytest.approx(1e-14, rel=0.05) and near == pytest.approx(1e-9, rel=1e-5)
+    res = subprocess.run(
+        [sys.executable, os.path.join(TOOLS, "value_digest.py"), "--quick", "--shots", "2",
+         "--drift", os.path.join(ROOT, "src")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [f"{name} top 0.0e+00 near 0.0e+00 shots 2"
+                                       for name in WORKLOAD_LINES]
 
 
 def test_value_digest_decisions_mode_hashes_only_the_decided_classes():

@@ -7,6 +7,7 @@
     python3 tools/value_digest.py --decisions     # only the decided classes
     python3 tools/value_digest.py --cold          # an empty sweep memo for every decode
     python3 tools/value_digest.py --smoke 300     # the circuit-smoke shots' decisions
+    python3 tools/value_digest.py --drift OTHER/src  # how far values moved from another checkout's
     python3 tools/value_digest.py --record        # every setting of RECORDED, to RECORD
 
 For each workload of bench/workloads.py it decodes the first --shots shots
@@ -27,6 +28,12 @@ instead, for each scaling of tools/run_circuit_smoke.py (its PARAMS: the
 same compression, chi and seed), one line "smoke-<scaling> <sha256>
 <failures>/N": the decision digest and the failure count of the first N
 shots, so two checkouts decide those shots alike when the lines agree.
+With --drift OTHER/src it prints instead, for each workload, one line
+"<workload> top <x> near <y> shots <n>": the largest relative change,
+from the values that the package in OTHER/src computes to this
+checkout's (or --src's), of a shot's top-class value (x) and of any
+class within e^-NEAR of its shot's top class (y), over the same shots as
+the digests.  A kernel change that moves values quotes these two numbers.
 With --record it computes the digests of every setting in RECORDED and
 writes them to RECORD (tools/value_digests.json), with the numpy version,
 BLAS build and BLAS thread count that produced them (environment); a
@@ -39,14 +46,17 @@ but RECORD.
 import argparse
 import hashlib
 import json
+import math
 import os
+import subprocess
 import sys
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-RECORD = os.path.join(ROOT, "tools", "value_digests.json")
+TOOLS = os.path.join(ROOT, "tools")
+RECORD = os.path.join(TOOLS, "value_digests.json")
 RECORDED = ("--quick", "--shots 6", "--shots 20", "--cold", "--decisions --shots 200",
             "--smoke 300")
 
@@ -77,6 +87,43 @@ def digest(harness, problem, config, shots: int, seed: int, decisions: bool,
         fields.append(str(harness._decide(problem, m, config)))
         h.update((";".join(fields) + "\n").encode())
     return h.hexdigest()
+
+
+NEAR = 20.0  # --drift covers the classes within e^-NEAR of their shot's top class
+
+
+def class_values(quick: bool, shots: int) -> dict:
+    """{workload: for each leading shot, the (mantissa, log_scale) of
+    every class value of harness.decode}, as digest reads them."""
+    from tndecode import harness
+    from workloads import DEFAULT_SEED, WORKLOADS, config
+
+    out = {}
+    for name, wl in WORKLOADS.items():
+        problem = wl.build(ROOT, quick)
+        out[name] = [[(v.mantissa, v.log_scale)
+                      for v in harness.decode(problem, m, config(wl.chi)).class_values]
+                     for _, m in harness.sample_errors(problem, shots, DEFAULT_SEED)]
+    return out
+
+
+def drift(new: list, old: list) -> tuple:
+    """(largest relative change of a shot's top-class value, largest over
+    every class within e^-NEAR of its shot's top) from the shots' class
+    values old to new, each a list of (mantissa, log_scale); the top class
+    and the classes near it are old's."""
+    top = near = 0.0
+    for shot_new, shot_old in zip(new, old, strict=True):
+        logs = [math.log(abs(m)) + ls if m else -math.inf for m, ls in shot_old]
+        best = max(logs)
+        for log, (mn, ln), (mo, lo) in zip(logs, shot_new, shot_old, strict=True):
+            if log < best - NEAR:
+                continue
+            change = abs(mn / mo * math.exp(ln - lo) - 1.0)
+            near = max(near, change)
+            if log == best:
+                top = max(top, change)
+    return top, near
 
 
 def smoke_digest(harness, dem, params: dict, scale: float, shots: int) -> tuple:
@@ -114,8 +161,21 @@ def lines(args):
     from tndecode import approx, dem, harness
     from workloads import DEFAULT_SEED, WORKLOADS, _toy_dem_text, config
 
+    if args.drift is not None:
+        # the other checkout's package runs in a process of its own,
+        # through this file and bench/workloads.py
+        path = [os.path.abspath(args.drift), os.path.join(ROOT, "bench"), TOOLS]
+        code = (f"import json, sys; sys.path[:0] = {path!r}; import value_digest; "
+                f"print(json.dumps(value_digest.class_values({args.quick}, {args.shots})))")
+        res = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
+                             check=True)
+        old = json.loads(res.stdout)
+        for name, new in class_values(args.quick, args.shots).items():
+            top, near = drift(new, old[name])
+            yield name, "top", f"{top:.1e}", "near", f"{near:.1e}", "shots", str(args.shots)
+        return
     if args.smoke is not None:
-        sys.path.insert(0, os.path.join(ROOT, "tools"))
+        sys.path.insert(0, TOOLS)
         from run_circuit_smoke import PARAMS  # imports tndecode, already loaded from --src
 
         for scale in PARAMS["scalings"]:
@@ -146,6 +206,8 @@ def main() -> None:
     ap.add_argument("--shots", type=int, default=6, help="leading shots per workload")
     ap.add_argument("--smoke", type=int, metavar="N",
                     help="only the first N circuit-smoke shots at each scaling")
+    ap.add_argument("--drift", metavar="OTHER/src",
+                    help="only the largest relative changes of values from this other package")
     ap.add_argument("--record", action="store_true",
                     help="write the digests of every recorded setting to " + RECORD)
     ap.add_argument("--src", default=os.path.join(ROOT, "src"),
