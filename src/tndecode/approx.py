@@ -82,7 +82,7 @@ SKETCH_SEED = 709  # seed of the boundary MPS's randomized range finder
 OVERSAMPLE = 16  # sketch columns beyond the kept rank
 POWER_STEPS = 4  # power steps before giving up on the sketch
 POWER_TOL = 1e-2  # relative change of the discarded weight that counts as settled
-TSQR_BLOCK = 2048  # rows per block of _tsqr_r
+TSQR_BLOCK = 1024  # rows per block of _tsqr_r
 QR_NB = 8  # column block of geqrt in _qr's mode 'r'
 _LWORK: dict = {}  # (LAPACK routine, dtype, shape) -> the workspace size its query returns
 

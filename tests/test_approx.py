@@ -481,19 +481,18 @@ def _rank_deficient(rng, m, n, rank):
 
 def _with_zero_rows(rng, m, n):
     M = rng.standard_normal((m, n))
-    M[approx.TSQR_BLOCK:3 * approx.TSQR_BLOCK] = 0.0  # two whole blocks
+    M[1024:3072] = 0.0  # two whole blocks
     M[rng.choice(m, size=50, replace=False)] = 0.0
     return M
 
 
 @pytest.mark.parametrize("make", [
-    # three passes of blocks: 33 blocks leave 33 x 64 rows, over one block
-    lambda rng: rng.standard_normal((33 * approx.TSQR_BLOCK, 64)),
-    lambda rng: rng.standard_normal((5 * approx.TSQR_BLOCK + 37, 16)),  # short last block
+    lambda rng: rng.standard_normal((40000, 64)),  # three passes of blocks
+    lambda rng: rng.standard_normal((5 * 1024 + 37, 16)),  # short last block
     lambda rng: _rank_deficient(rng, 3000, 24, 5),
-    lambda rng: _with_zero_rows(rng, 4 * approx.TSQR_BLOCK - 96, 16),
+    lambda rng: _with_zero_rows(rng, 4000, 16),
     lambda rng: rng.standard_normal((10, 30)),  # wide: one flat QR
-    lambda rng: rng.standard_normal((approx.TSQR_BLOCK, 16)),  # exactly one block
+    lambda rng: rng.standard_normal((1024, 16)),  # exactly one block
 ], ids=["tall", "short_last_block", "rank_deficient", "zero_rows", "wide", "one_block"])
 def test_tsqr_r_matches_flat_qr(svd_calls, make):
     M = make(np.random.default_rng(51))
@@ -520,7 +519,6 @@ def test_tsqr_r_terminates_when_columns_exceed_half_a_block(monkeypatch):
 
 @pytest.mark.parametrize("m, block", [
     (1023, None), (1024, None), (1025, None), (2048, None), (2049, None),
-    (4095, None), (4096, None), (4097, None),
     (5 * 1024 + 37, None), (40000, None), (500, 8),  # 500 rows, 12-row blocks
 ])
 def test_tsqr_r_weights_rows_bit_for_bit(monkeypatch, m, block):
@@ -579,14 +577,13 @@ def test_qr_r_mode_of_an_empty_matrix(shape):
     assert R.shape == (min(shape), shape[1])
 
 
-# Rows of a site matrix read straight from the stored array, against
-# blocks of 2048 rows (TSQR_BLOCK): below one block, one block, just past a
-# block, a short last block under an odd leading axis, and a tail of under
-# 128 rows that joins the chunk before it
+# Rows of a site matrix read straight from the stored array: below one
+# block, one block, one past a block, a short last block under an odd
+# leading axis, and a tail of under 128 rows that joins the chunk before it
 ROW_DIMS = {
     "below_a_block": (10, 4, 25),
-    "one_block": (16, 2, 64),
-    "one_past_a_block": (3, 683),
+    "one_block": (8, 2, 64),
+    "one_past_a_block": (5, 5, 41),
     "short_last_block": (15, 4, 2, 43),
     "tail_under_128": (12, 179),
 }
