@@ -167,8 +167,8 @@ def lines(args):
         path = [os.path.abspath(args.drift), os.path.join(ROOT, "bench"), TOOLS]
         code = (f"import json, sys; sys.path[:0] = {path!r}; import value_digest; "
                 f"print(json.dumps(value_digest.class_values({args.quick}, {args.shots})))")
-        res = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
-                             check=True)
+        res = subprocess.run([sys.executable, "-B", "-c", code], stdout=subprocess.PIPE,
+                             text=True, check=True)
         old = json.loads(res.stdout)
         for name, new in class_values(args.quick, args.shots).items():
             top, near = drift(new, old[name])
