@@ -218,7 +218,10 @@ def _copy_rows(M: np.ndarray, lo: int, hi: int, out: np.ndarray,
     array whose last two axes index the columns and whose other axes the
     rows in C order, such as a site array with its bond and gate axes moved
     last (LatticeState._site_matrix).  A site view is read box by box
-    (_row_pieces), straight from the stored array."""
+    (_row_pieces), straight from the stored array.  Its readers (_tsqr_r,
+    _row_chunks) pass it with its row axes in memory order
+    (_in_memory_order), so that a box is read in runs of the stored array,
+    not one number per cache line."""
     ncol = 1 if M.ndim == 2 else 2
     for idx, p, q in _row_pieces(M.shape[:-ncol], lo, hi):
         src = M[idx]
@@ -235,34 +238,71 @@ def _matrix_shape(M: np.ndarray) -> tuple:
         math.prod(M.shape[:-2]), M.shape[-2] * M.shape[-1])
 
 
+def _in_memory_order(M: np.ndarray) -> tuple:
+    """(V, perm): M (see _copy_rows) with its row axes in the stored array's
+    memory order, by stride, largest first, and perm, the places of those
+    axes in M.  Axes of equal stride (unit axes among them) keep their C
+    order, so a matrix, or a site view already in memory order, is its own
+    V.  A projection (_project) leaves its new bond innermost in memory,
+    where the next update of the site, read in C order, would take one
+    number per cache line."""
+    rank = 1 if M.ndim == 2 else M.ndim - 2
+    perm = sorted(range(rank), key=lambda i: -abs(M.strides[i]))
+    return M.transpose(perm + list(range(rank, M.ndim))), perm
+
+
 def _row_chunks(M: np.ndarray):
-    """The rows of M (see _copy_rows) as chunks (lo, hi, rows lo:hi): a
-    matrix is one chunk as it is; a site view is read in C-ordered chunks
-    of whole TSQR blocks, the tail short of a block joined to the chunk
-    before it, each written into one buffer of the last chunk's size."""
+    """The rows of M (see _copy_rows) in memory order (_in_memory_order), one
+    chunk of rows lo:hi of that order at a time, as functions put(dst, P):
+    put writes the chunk times P^T into the chunk's rows of dst, an array
+    of M's row axes and then one axis of len(P) (for a matrix, any axes
+    whose C order is its rows).  A matrix is one chunk as it is; a site
+    view is read in chunks of whole TSQR blocks, the tail short of a block
+    joined to the chunk before it, each copied into one buffer of the last
+    chunk's size.  Each product is one GEMM of the C-ordered chunk,
+    written straight into dst where the chunk is a C-ordered run of dst's
+    rows, else box by box (_row_pieces) into its rows' places in dst."""
     rows, cols = _matrix_shape(M)
+    V, perm = _in_memory_order(M)
+    in_c_order = perm == sorted(perm)
+
+    def chunk_of(chunk, lo, hi):
+        def put(dst, P):
+            if in_c_order and dst.flags.c_contiguous:
+                np.matmul(chunk, P.T, out=dst.reshape(-1, len(P))[lo:hi])
+                return
+            N = chunk @ P.T
+            to = dst if M.ndim == 2 else dst.transpose(perm + [dst.ndim - 1])
+            for idx, p, q in _row_pieces(to.shape[:-1], lo, hi):
+                part = to[idx]
+                part[...] = N[p - lo:q - lo].reshape(part.shape)
+        return put
+
     if M.ndim == 2:
-        yield 0, rows, M
+        yield chunk_of(M, 0, rows)
         return
     block = _block(cols)
     n = max(1, rows // block)
     buf = np.empty((rows - (n - 1) * block, cols))
     for i in range(n):
         lo, hi = i * block, rows if i == n - 1 else (i + 1) * block
-        _copy_rows(M, lo, hi, buf[:hi - lo])
-        yield lo, hi, buf[:hi - lo]
+        _copy_rows(V, lo, hi, buf[:hi - lo])
+        yield chunk_of(buf[:hi - lo], lo, hi)
 
 
 def _project(M: np.ndarray, proj: np.ndarray) -> np.ndarray:
     """The C-ordered product M P^T, rows x len(P), of M read as a matrix
-    (see _copy_rows), one chunk of rows at a time (_row_chunks).  GEMM
-    computes each row of a C-ordered chunk of at least one block as it
-    does in the product of the whole C-ordered matrix, so the result has
-    the same bits; much shorter chunks can take another path through
-    OpenBLAS."""
+    (see _copy_rows), one chunk of rows in memory order at a time
+    (_row_chunks), each chunk's product written to its rows' places in C
+    order.  GEMM computes each row of a C-ordered chunk of at least one
+    block as it does in the product of the whole C-ordered matrix, so the
+    result has that product's bits, and the new site its layout, in
+    whatever order the rows are read; much shorter chunks can take another
+    path through OpenBLAS."""
     out = np.empty((_matrix_shape(M)[0], len(proj)))
-    for lo, hi, chunk in _row_chunks(M):
-        np.matmul(chunk, proj.T, out=out[lo:hi])
+    to = out if M.ndim == 2 else out.reshape(M.shape[:-2] + (len(proj),))
+    for put in _row_chunks(M):
+        put(to, proj)
     return out
 
 
@@ -274,16 +314,22 @@ def _tsqr_r(M: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     millions of rows runs memory-bound; no Q is formed.
 
     M is a matrix or a site view (see _copy_rows), whose matrix is never
-    formed whole: the row weights w scale each block of the first pass as
-    it is written, once and straight from M, into the Fortran-ordered
-    array that geqrt factors in place (_qr), so neither the matrix nor the
-    weighted matrix is formed whole.  A block holds the numbers of the
-    same block of M * w[:, None] formed whole, so R has the same bits.  R
-    is that of a flat QR up to the signs of its rows, so
-    R^T R = M^T diag(w)^2 M.  A w not of M's row count raises ValueError."""
+    formed whole.  A site view's rows are factored in memory order
+    (_in_memory_order), and the row weights w are permuted with them.  w
+    scales each block of the first pass as it is written, once and
+    straight from M, into the Fortran-ordered array that geqrt factors in
+    place (_qr).  A block holds the numbers of the same block of
+    M * w[:, None] formed whole with its rows in memory order, so R has
+    the bits of that matrix's R.  The order of the rows changes only Q:
+    R^T R = M^T diag(w)^2 M, and R is that of a flat QR up to the signs
+    of its rows.  A w not of M's row count raises ValueError."""
     rows, cols = _matrix_shape(M)
     if w is not None and len(w) != rows:
         raise ValueError(f"{len(w)} row weights for a matrix of {rows} rows")
+    dims = M.shape[:-2]
+    M, perm = _in_memory_order(M)
+    if w is not None and M.ndim > 2:
+        w = w.reshape(dims).transpose(perm).ravel()
     block = _block(cols)
 
     def r(i):
@@ -851,12 +897,13 @@ class LatticeState:
         gate leg), the weights of its other nontrivial bonds as one row
         scaling (the outer product of their weights in the rows' C order;
         other axes weigh 1; lam, by axis, overrides the bonds' weights),
-        and the dimensions of the other axes.  A
-        matrix of one chunk (under two blocks, see _row_chunks) is formed
-        whole, a copy only where the array's layout needs one.  A larger
+        and the dimensions of the other axes.  A matrix of one chunk (under
+        two blocks, see _row_chunks) is formed whole with its rows in C
+        order, a copy only where the array's layout needs one.  A larger
         one is a view of the stored array, never formed whole: 2D where the
         layout allows it, otherwise a site view with the two axes moved
-        last (see _copy_rows)."""
+        last (see _copy_rows), whose readers take its rows in the stored
+        array's memory order (_tsqr_r, _row_chunks)."""
         A = self.sites[pos]
         rest = [i for i in range(A.ndim) if i not in (ax, self.GATE_AXIS)]
         lam = {nax: self.get_lam(pos, npos) for npos, nax in self.neighbors(pos)} | (lam or {})
@@ -883,11 +930,15 @@ class LatticeState:
         _site_matrix), and project, which maps a projector P of shape
         (new bond, bond x gate leg) to the new site array, the site matrix
         times P^T with the new bond at ax.  Both read the stored array one
-        block of rows at a time (_tsqr_r, _project), so that besides the
-        new array an endpoint holds at most one chunk of its matrix, under
-        two blocks, never the whole.  A site in factored is read by its
-        entry instead, which this takes out, so that entry.factor(state,
-        pos, ax) serves only the site's next update."""
+        block of rows at a time (_tsqr_r, _project), a site view's rows in
+        the array's memory order, so that besides the new array an
+        endpoint holds at most one chunk of its matrix, under two blocks,
+        never the whole.  R is that of the rows in the order read; project
+        writes each row to its place in C order, so the new site has the
+        bits and the layout (the new bond innermost in memory) of the
+        whole C-ordered product.  A site in factored is
+        read by its entry instead, which this takes out, so that
+        entry.factor(state, pos, ax) serves only the site's next update."""
         held = self.factored.pop(pos, None)
         if held is not None:
             return held.factor(self, pos, ax)

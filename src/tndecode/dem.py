@@ -248,7 +248,7 @@ def brute_force_class_probs(model: DetectorErrorModel, m) -> np.ndarray:
 # artifact answers every syndrome by fixing open detector legs.
 # ---------------------------------------------------------------------------
 
-from .approx import LatticeState, _row_chunks, _row_pieces, _tsqr_r
+from .approx import LatticeState, _row_chunks, _tsqr_r
 from .builders import DecodingNetwork
 from .tensornet import TensorNetwork
 
@@ -337,8 +337,8 @@ class _Fresh(NamedTuple):
         each b, P_b the projector's columns of bit b, written into the
         bit-b half of the doubled out-bond and flipped on the open leg
         where the site is touched.  Like the default, both read S one chunk
-        of rows at a time (_tsqr_r, _row_chunks), and each chunk's products
-        go straight into their rows of the two halves."""
+        of rows at a time in memory order (_tsqr_r, _row_chunks), and each
+        chunk's products go straight into their rows of the two halves."""
         mat, w, dims = state._site_matrix(pos, ax)
         j = self.ax_out - (self.ax_out > ax)  # place of the out-bond among the other axes
 
@@ -349,12 +349,9 @@ class _Fresh(NamedTuple):
             into = [halves[(slice(None),) * (j + 1) + (b,)] for b in (0, 1)]
             if self.flip:
                 into[1] = into[1][..., ::-1, :]
-            for lo, hi, chunk in _row_chunks(mat):
+            for put in _row_chunks(mat):
                 for b in (0, 1):
-                    N = chunk @ proj[:, b::2].T
-                    for idx, p, q in _row_pieces(dims, lo, hi):
-                        dst = into[b][idx]
-                        dst[...] = N[p - lo:q - lo].reshape(dst.shape)
+                    put(into[b], proj[:, b::2])
             return np.moveaxis(out, -1, ax)
 
         return np.kron(_tsqr_r(mat, w), np.eye(2)), project

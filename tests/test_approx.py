@@ -616,18 +616,27 @@ def test_site_view_reads_the_bits_of_the_whole_matrix(rows):
 
 def _whole_factor(state, pos, ax):
     """The reference for an endpoint of the simple update: the site matrix
-    formed whole by one reshape, its R by _tsqr_r and its projection by one
-    product."""
+    formed whole by one reshape, its R by _tsqr_r of that matrix with its
+    rows in the stored array's memory order (the other axes by stride,
+    largest first), the rows' weights permuted with them, and its
+    projection by one product of the matrix with its rows in C order.  A
+    matrix of one chunk (under two blocks) has its rows in C order, as
+    _site_matrix forms it whole."""
     A = state.sites[pos]
     rest = [i for i in range(A.ndim) if i not in (ax, state.GATE_AXIS)]
-    mat = np.transpose(A, rest + [ax, state.GATE_AXIS]).reshape(
-        -1, A.shape[ax] * A.shape[state.GATE_AXIS])
+    cols = A.shape[ax] * A.shape[state.GATE_AXIS]
+    mat = np.transpose(A, rest + [ax, state.GATE_AXIS]).reshape(-1, cols)
+    order = rest
+    if len(mat) >= 2 * approx._block(cols):
+        order = sorted(rest, key=lambda i: -abs(A.strides[i]))
+    in_memory = np.transpose(A, order + [ax, state.GATE_AXIS]).reshape(-1, cols)
     _, w, dims = state._site_matrix(pos, ax)
+    w = w.reshape(dims).transpose([rest.index(i) for i in order]).ravel()
 
     def project(proj):
         return np.moveaxis((mat @ proj.T).reshape(dims + (len(proj),)), -1, ax)
 
-    return approx._tsqr_r(mat, w), project
+    return approx._tsqr_r(in_memory, w), project
 
 
 def _site_states():
@@ -663,15 +672,56 @@ def test_site_factor_has_the_bits_of_the_whole_site_matrix():
             assert np.array_equal(got, want) and got.strides == want.strides
 
 
-def test_simple_update_forms_no_whole_site_matrix():
+def _scattered_views(rng):
+    """Site views (see approx._copy_rows) whose row axes are not in memory
+    order in C order, each as LatticeState._site_matrix reads a site: the
+    other axes in place order, then the bond and the gate axis."""
+    def projected(shape, new):  # the new bond innermost in memory, as _project leaves it
+        A = rng.standard_normal(shape)
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(A, new, -1)), -1, new)
+
+    def view(A, ax, gate):
+        rest = [i for i in range(A.ndim) if i not in (ax, gate)]
+        return np.transpose(A, rest + [ax, gate])
+
+    yield "projected", view(projected((6, 12, 9, 8, 4, 3), 1), 0, 5)
+    yield "unit_axis", view(projected((6, 12, 1, 9, 8, 3), 1), 0, 5)
+    # the compressor's truncation appends a unit gate axis of stride 0
+    yield "zero_stride_gate", view(projected((3, 4, 2, 5, 6, 4, 2), 5)[..., None], 4, 7)
+    yield "column_between_rows", view(projected((6, 12, 9, 8, 4, 3), 1), 3, 5)
+
+
+def test_tsqr_r_of_a_scattered_site_view_has_the_gram_of_the_weighted_matrix():
+    # rows read in memory order take their weights with them: R^T R is
+    # (W M)^T (W M) of the matrix with its rows in C order
+    rng = np.random.default_rng(64)
+    for name, view in _scattered_views(rng):
+        strides = [abs(st) for n, st in zip(view.shape[:-2], view.strides) if n > 1]
+        assert strides != sorted(strides, reverse=True), name  # not in memory order
+        rows, cols = math.prod(view.shape[:-2]), view.shape[-2] * view.shape[-1]
+        w = _spread(rng, rows)
+        WM = np.ascontiguousarray(view).reshape(rows, cols) * w[:, None]
+        R = approx._tsqr_r(view, w)
+        assert R.shape == (min(rows, cols), cols) and np.array_equal(R, np.triu(R)), name
+        gram = WM.T @ WM
+        assert np.linalg.norm(R.T @ R - gram) <= 1e-12 * np.linalg.norm(gram), name
+
+
+@pytest.mark.parametrize("layout", ["c", "projected"])
+def test_simple_update_forms_no_whole_site_matrix(layout):
     # one full update on a 32 MiB endpoint allocates its new sites and a few
-    # blocks of rows, not a copy of the endpoint's matrix
+    # blocks of rows, not a copy of the endpoint's matrix.  In the projected
+    # layout (bond 0 innermost in memory) its rows are read in memory order
+    # through a transposed view: only the row weights, permuted, are new.
     import tracemalloc
 
     rng = np.random.default_rng(59)
     a, b = (0, 0), (1, 0)
     state = SweepState([a, b])
-    state.sites[a] = rng.standard_normal((16, 16, 16, 16, 16, 4))  # 32 MiB
+    A = rng.standard_normal((16, 16, 16, 16, 16, 4))  # 32 MiB
+    if layout == "projected":
+        A = np.moveaxis(np.ascontiguousarray(np.moveaxis(A, 0, -1)), -1, 0)
+    state.sites[a] = A
     state.sites[b] = rng.standard_normal((16, 4, 4, 1, 1, 4))
     state.lam[state.bond(a, b)] = _spread(rng, 16)
     state.lam[state.bond((-1, 0), a)] = _spread(rng, 16)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tests._oracles import dem_all_class_probs, lattice_value, syndrome_index
-from tndecode.approx import _tsqr_r
+from tndecode.approx import _block, _tsqr_r
 from tndecode.dem import (
     CompressedCubicNetwork,
     CompressionError,
@@ -518,13 +518,20 @@ def test_fresh_site_truncation_matches_the_doubled_site(ax_in, ax_out, dd, flip,
 
 def _whole_fresh_factor(state, pos, ax):
     """The reference for a fresh-site endpoint: the old site's matrix formed
-    whole by one reshape, and one product per wire bit written into its
-    half of the doubled out-bond."""
+    whole by one reshape, its R from the matrix with its rows in the stored
+    array's memory order (in C order under two blocks, as _site_matrix
+    forms it whole) and the rows' weights permuted with them, and one
+    product per wire bit written into its half of the doubled out-bond."""
     ax_out, flip = state.factored[pos]
     A = state.sites[pos]
     rest = [i for i in range(A.ndim) if i not in (ax, 7)]
     mat = np.transpose(A, rest + [ax, 7]).reshape(-1, A.shape[ax])
+    order = rest
+    if len(mat) >= 2 * _block(A.shape[ax]):
+        order = sorted(rest, key=lambda i: -abs(A.strides[i]))
+    in_memory = np.transpose(A, order + [ax, 7]).reshape(-1, A.shape[ax])
     _, w, dims = state._site_matrix(pos, ax)
+    w = w.reshape(dims).transpose([rest.index(i) for i in order]).ravel()
     dims = list(dims)
     j = ax_out - (ax_out > ax)
 
@@ -537,7 +544,7 @@ def _whole_fresh_factor(state, pos, ax):
             halves[(slice(None),) * (j + 1) + (b,)] = N[..., ::-1, :] if b and flip else N
         return np.moveaxis(out, -1, ax)
 
-    return np.kron(_tsqr_r(mat, w), np.eye(2)), project
+    return np.kron(_tsqr_r(in_memory, w), np.eye(2)), project
 
 
 @pytest.mark.parametrize("ax_in, ax_out, bonds", [
@@ -556,10 +563,10 @@ def test_fresh_site_factor_has_the_bits_of_the_whole_matrix(ax_in, ax_out, bonds
         lam = rng.permutation(np.logspace(-12, 0, n))
         bond = state.bond(p1, tuple(np.add(p1, STEP[ax])))
         state.lam[bond] = lam  # the out-bond is doubled only after this update
-    for layout in ("c", "projected"):
+    for last in (None, ax_in, ax_out):  # C-ordered, or the bond last updated innermost
         S = rng.standard_normal(bonds + (dd,))
-        if layout == "projected":  # the in-bond was the last one updated
-            S = np.moveaxis(np.ascontiguousarray(np.moveaxis(S, ax_in, -1)), -1, ax_in)
+        if last is not None:
+            S = np.moveaxis(np.ascontiguousarray(np.moveaxis(S, last, -1)), -1, last)
         state.sites[p1] = S[..., None]
         state.factored[p1] = _Fresh(ax_out, flip)
         R0, project0 = _whole_fresh_factor(state, p1, ax_in)
