@@ -707,35 +707,35 @@ def test_tsqr_r_of_a_scattered_site_view_has_the_gram_of_the_weighted_matrix():
         assert np.linalg.norm(R.T @ R - gram) <= 1e-12 * np.linalg.norm(gram), name
 
 
-@pytest.mark.parametrize("layout", ["c", "projected"])
-def test_simple_update_forms_no_whole_site_matrix(layout):
+def test_simple_update_forms_no_whole_site_matrix():
     # one full update on a 32 MiB endpoint allocates its new sites and a few
     # blocks of rows, not a copy of the endpoint's matrix.  In the projected
     # layout (bond 0 innermost in memory) its rows are read in memory order
     # through a transposed view: only the row weights, permuted, are new.
     import tracemalloc
 
-    rng = np.random.default_rng(59)
-    a, b = (0, 0), (1, 0)
-    state = SweepState([a, b])
-    A = rng.standard_normal((16, 16, 16, 16, 16, 4))  # 32 MiB
-    if layout == "projected":
-        A = np.moveaxis(np.ascontiguousarray(np.moveaxis(A, 0, -1)), -1, 0)
-    state.sites[a] = A
-    state.sites[b] = rng.standard_normal((16, 4, 4, 1, 1, 4))
-    state.lam[state.bond(a, b)] = _spread(rng, 16)
-    state.lam[state.bond((-1, 0), a)] = _spread(rng, 16)
-    block_bytes = approx._block(64) * 64 * 8
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        state.simple_update(a, b, rng.standard_normal((4, 4)), chi=8)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    new = state.sites[a].nbytes + state.sites[b].nbytes
-    assert state.sites[a].shape == (16, 8, 16, 16, 16)
-    assert peak <= new + 6 * block_bytes, (peak, new, block_bytes)
+    for layout in ("c", "projected"):
+        rng = np.random.default_rng(59)
+        a, b = (0, 0), (1, 0)
+        state = SweepState([a, b])
+        A = rng.standard_normal((16, 16, 16, 16, 16, 4))  # 32 MiB
+        if layout == "projected":
+            A = np.moveaxis(np.ascontiguousarray(np.moveaxis(A, 0, -1)), -1, 0)
+        state.sites[a] = A
+        state.sites[b] = rng.standard_normal((16, 4, 4, 1, 1, 4))
+        state.lam[state.bond(a, b)] = _spread(rng, 16)
+        state.lam[state.bond((-1, 0), a)] = _spread(rng, 16)
+        block_bytes = approx._block(64) * 64 * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            state.simple_update(a, b, rng.standard_normal((4, 4)), chi=8)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        new = state.sites[a].nbytes + state.sites[b].nbytes
+        assert state.sites[a].shape == (16, 8, 16, 16, 16), layout
+        assert peak <= new + 6 * block_bytes, (layout, peak, new, block_bytes)
 
 
 def _pend(state, pos, place):
