@@ -337,8 +337,9 @@ class _Fresh(NamedTuple):
         each b, P_b the projector's columns of bit b, written into the
         bit-b half of the doubled out-bond and flipped on the open leg
         where the site is touched.  Like the default, both read S one chunk
-        of rows at a time in memory order (_tsqr_r, _row_chunks), and each
-        chunk's products go straight into their rows of the two halves."""
+        of rows at a time, a site view's rows in memory order (_tsqr_r,
+        _row_chunks), and each chunk's products go straight into their
+        rows' places in the two halves."""
         mat, w, dims = state._site_matrix(pos, ax)
         j = self.ax_out - (self.ax_out > ax)  # place of the out-bond among the other axes
 
