@@ -3,8 +3,10 @@
 A decoding problem bundles a code (or detector error model) with its noise
 so that the harness can build per-syndrome networks, draw error samples,
 and score the decoder.  Contraction engines are chosen per configuration:
-exact for coordinate-free networks, boundary MPS for planar ones, the 3D
-layer sweep for cubic ones.  count_failures is the one Monte Carlo loop:
+exact for coordinate-free networks, boundary MPS for planar ones (exact
+dense boundaries where no cut between rows can need more than chi_mps),
+the 3D layer sweep for cubic ones, which hands its last plane to the
+same 2D contraction.  count_failures is the one Monte Carlo loop:
 the CLI and the campaign tools all count decoder failures through it.
 """
 from __future__ import annotations

@@ -57,9 +57,13 @@ def max_class_error(exact, approx):
     return out
 
 
-def test_boundary_mps_exact_on_random_grids():
+def test_boundary_mps_exact_on_random_grids(monkeypatch):
     # 1 to 6 columns, odd and even counts; in half the grids the middle
-    # column n // 2 holds an empty position, and so does one elsewhere
+    # column n // 2 holds an empty position, and so does one elsewhere.
+    # Every cut of these grids fits chi, so the MPS path is forced here
+    # (test_dense_boundary_is_exact_and_calls_no_truncation_kernel covers
+    # the exact path)
+    monkeypatch.setattr(approx, "_cuts_fit", lambda *args: False)
     rng = np.random.default_rng(1)
     for trial in range(36):
         nx, ny = 1 + trial % 6, int(rng.integers(2, 5))
@@ -69,11 +73,11 @@ def test_boundary_mps_exact_on_random_grids():
                      (int(rng.integers(nx)), int(rng.integers(ny)))}
         net = random_grid_net(rng, nx, ny, holes=holes)
         exact = net.contract_exact()
-        approx = mps_contract_2d(net, chi=64)
+        got = mps_contract_2d(net, chi=64)
         if exact.mantissa == 0.0:
-            assert abs(approx.value) < 1e-12
+            assert abs(got.value) < 1e-12
         else:
-            assert abs(approx.ratio_to(exact) - 1) < 1e-10, trial
+            assert abs(got.ratio_to(exact) - 1) < 1e-10, trial
 
 
 def test_zip_up_truncation_is_optimal_on_two_sites():
@@ -102,10 +106,47 @@ def test_zip_up_truncation_is_optimal_on_two_sites():
     assert np.linalg.norm(dense(mps) - state) == pytest.approx(np.linalg.norm(s[3:]), rel=1e-10)
 
 
+def test_dense_boundary_is_exact_and_calls_no_truncation_kernel(monkeypatch):
+    # grids whose every cut fits chi, with 1 to 6 columns, empty positions,
+    # an exact zero and tensors scaled by 1e+-200, against contract_exact
+    # of the unscaled grid; no zip-up, SVD, QR or sketch generator is used
+    rng = np.random.default_rng(11)
+
+    def called(*args, **kwargs):
+        raise AssertionError("the exact path called a truncation kernel")
+
+    for module, name in ((approx, "_svd_trunc"), (approx, "_qr"),
+                         (MpsState, "apply_mpo_zip"), (approx.np.random, "default_rng")):
+        monkeypatch.setattr(module, name, called)
+    for trial in range(48):
+        nx, ny = 1 + trial % 6, int(rng.integers(1, 6))
+        holes = set()
+        if trial % 12 >= 6 and ny > 1:
+            holes = {(nx // 2, int(rng.integers(ny))), (int(rng.integers(nx)), int(rng.integers(ny)))}
+        net = random_grid_net(rng, nx, ny, holes=holes)
+        if trial % 8 == 7:
+            tid = sorted(net.tensors)[int(rng.integers(len(net.tensors)))]
+            net.tensors[tid] = Tensor.dense(net.tensors[tid].densify() * 0.0, list(net.tensors[tid].legs))
+        exact = net.contract_exact()
+        log = 0.0
+        for tid, t in list(net.tensors.items()):
+            e = 200 * int(rng.integers(-1, 2))
+            net.tensors[tid] = Tensor.dense(t.densify() * 10.0 ** e, list(t.legs))
+            log += e * math.log(10)
+        got = mps_contract_2d(net, chi=9)
+        if exact.mantissa == 0.0:
+            assert got.mantissa == 0.0, trial
+        else:
+            want = type(exact)(exact.mantissa, exact.log_scale + log)
+            assert abs(got.ratio_to(want) - 1) < 1e-12, trial
+
+
 @pytest.mark.parametrize("nx", range(1, 7))
 def test_boundary_mps_zips_n_minus_one_columns_half_from_the_left(nx, monkeypatch):
     # n columns take n - 1 zips, the first n // 2 by the left MPS; the
-    # middle column is contracted exactly between the two MPSs
+    # middle column is contracted exactly between the two MPSs.  At chi 2
+    # each of these grids has a cut between rows that chi does not cover
+    # (for nx > 1), so it takes the MPS path, not the dense boundary
     zipped = []
     zip_ = MpsState.apply_mpo_zip
 
@@ -114,8 +155,8 @@ def test_boundary_mps_zips_n_minus_one_columns_half_from_the_left(nx, monkeypatc
         return zip_(self, mpo, rng)
 
     monkeypatch.setattr(MpsState, "apply_mpo_zip", counted)
-    net = random_grid_net(np.random.default_rng(nx), nx, 3, maxd=2)
-    mps_contract_2d(net, chi=8)
+    net = random_grid_net(np.random.default_rng(nx), nx, 4, maxd=3)
+    mps_contract_2d(net, chi=2)
     assert len(zipped) == nx - 1
     left, right = zipped[:nx // 2], zipped[nx // 2:]
     assert len(set(left)) <= 1 and len(set(right)) <= 1
@@ -192,22 +233,39 @@ def test_mps_close_zero_and_large_products():
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
-def test_boundary_mps_rejects_a_bond_mismatch_entering_the_middle_column(side):
+def test_boundary_mps_rejects_a_bond_mismatch_entering_the_middle_column(side, monkeypatch):
     # three columns: the middle one's bond to its left (or right) neighbour
-    # has dimension 3 on its own end and 2 on the neighbour's
+    # has dimension 3 on its own end and 2 on the neighbour's; every cut
+    # fits chi 8, so the dense boundary sees the grid first, then the MPS
     dims = {"left": (2, 3, 2, 2), "right": (2, 2, 3, 2)}[side]
+    want = {"left": "mismatch entering column", "right": "mismatch entering the middle"}[side]
     net = TensorNetwork()
     for y in range(2):
         net.add(Tensor.dense(np.ones((dims[0], 2)), [f"h0,{y}", "v0"]), coord=(0, y))
         net.add(Tensor.dense(np.ones((dims[1], dims[2], 2)), [f"h0,{y}", f"h1,{y}", "v1"]),
                 coord=(1, y))
         net.add(Tensor.dense(np.ones((dims[3], 2)), [f"h1,{y}", "v2"]), coord=(2, y))
-    with pytest.raises(ValueError, match="mismatch"):
+    with pytest.raises(ValueError, match=want):
+        mps_contract_2d(net, chi=8)
+    monkeypatch.setattr(approx, "_cuts_fit", lambda *args: False)
+    with pytest.raises(ValueError, match=want):
         mps_contract_2d(net, chi=8)
     if side == "right":  # the left side is checked where the column is built
         mps = MpsState([np.ones((1, 1, 2))], 4)
         with pytest.raises(ValueError, match="mismatch entering the middle"):
             mps.meet([np.ones((1, 1, 2, 3))], mps)
+
+
+def test_column_rejects_a_bond_across_an_empty_position():
+    # _grid_tensors_2d rejects a bond that is not a unit step, so no network
+    # reaches this; a boundary leg above 1 facing the empty (1, 0) is
+    # rejected by the dense boundary and by the MPS path's column alike
+    grid = {(0, 0): np.ones((1, 2, 1, 2)), (0, 1): np.ones((2, 1, 1, 1)),
+            (1, 1): np.ones((1, 1, 1, 1))}
+    with pytest.raises(ValueError, match="empty grid position"):
+        approx._dense_boundary(grid, [0, 1], [0, 1], False)
+    with pytest.raises(ValueError, match="empty grid position"):
+        approx._column(grid, 1, [0, 1], MpsState.product([2, 1], 4).phys_dims(), False)
 
 
 def test_css_2d_class_values_via_mps_match_exact():
@@ -383,6 +441,14 @@ def test_readout_rejects_an_open_leg_without_end():
     with pytest.raises(ValueError):
         state.to_network()
     assert state.to_network({(1, 0): np.array([1.0, 2.0])}).contract_exact().value == 3.0
+
+
+def test_trivial_bond_weights_are_one_shared_read_only_vector():
+    state = SweepState([(0, 0), (1, 0)])
+    lam = state.get_lam((0, 0), (1, 0))
+    assert lam is state.get_lam((1, 0), (0, 0)) and lam.tolist() == [1.0]
+    with pytest.raises(ValueError, match="read-only"):
+        lam *= 2.0
 
 
 def _truncated_full_svd(M, chi):
