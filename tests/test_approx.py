@@ -265,7 +265,7 @@ def test_column_rejects_a_bond_across_an_empty_position():
     with pytest.raises(ValueError, match="empty grid position"):
         approx._dense_boundary(grid, [0, 1], [0, 1], False)
     with pytest.raises(ValueError, match="empty grid position"):
-        approx._column(grid, 1, [0, 1], MpsState.product([2, 1], 4).phys_dims(), False)
+        approx._column(grid, 1, [0, 1], [2, 1], False)
 
 
 def test_css_2d_class_values_via_mps_match_exact():
